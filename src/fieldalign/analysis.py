@@ -62,8 +62,9 @@ class DistanceMatrix:
     def load(cls, path, kind: str = "map") -> "DistanceMatrix":
         with open(path) as fh:
             body = [line for line in fh if line.strip() and not line.startswith("#")]
-        labels = body[0].split()
-        rows = [[float(x) for x in line.split()] for line in body[1:]]
+        # tab-separated like save writes it: labels may contain spaces
+        labels = body[0].rstrip("\r\n").split("\t")
+        rows = [[float(x) for x in line.split("\t")] for line in body[1:]]
         return cls(np.array(rows), kind=kind, labels=labels)
 
 

@@ -7,12 +7,13 @@ defaults so a bare invocation reproduces the reference protocols.  Every
 artifact embeds its effective configuration and master seed.
 
 Exit codes: 0 success, 1 alignment failure, 2 configuration error,
-3 IO error.
+3 IO error, 4 degenerate input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,9 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, gpa, mcmc, molio, simulation
-from .covariance import GAUSSIAN, MATERN, CovarianceModel
+from .covariance import (
+    GAUSSIAN,
+    MATERN,
+    CovarianceModel,
+    KernelDomainError,
+    SingularGramError,
+)
 from .geometry import RigidTransform, principal_axes_transform
-from .kriging import build_field
+from .kriging import DegenerateFieldError, EmptyFieldError, build_field
 from .mcmc import Hyperparameters, InitSpec, LinearSchedule
 
 STERIC_RHO_DEFAULT = 1.7 / np.sqrt(3.0)
@@ -215,6 +222,21 @@ def build_config(subcommand: str, file_values: dict, overrides: dict, profile: s
 # -- shared pieces -------------------------------------------------------------
 
 
+def _config_values(build):
+    """Report a ValueError raised while building a model or sampler settings
+    as a configuration error."""
+
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+
+    return wrapper
+
+
+@_config_values
 def _kernel_model(kind: str, rho: float, nu: float) -> CovarianceModel:
     if kind == "gaussian":
         return CovarianceModel(GAUSSIAN, rho=rho)
@@ -241,6 +263,7 @@ def _channels_for(config, charge_pair, steric_pair):
     raise ConfigError(f"unknown channel {channel!r}")
 
 
+@_config_values
 def _pair_hyper(config, n_channels: int) -> Hyperparameters:
     weight_schedule = None
     if n_channels == 2 and config["weight_initial_iters"] > 0:
@@ -267,6 +290,7 @@ def _pair_hyper(config, n_channels: int) -> Hyperparameters:
     )
 
 
+@_config_values
 def _pair_init(config) -> InitSpec:
     return InitSpec(
         rotation_range=np.radians(config["init_rotation_deg"]),
@@ -327,13 +351,21 @@ def _read_molecules(spec: str) -> list[tuple[str, tuple]]:
     if p.is_dir():
         paths = sorted(p.glob("*.mol"))
     elif p.is_file() and p.suffix != ".mol":
-        paths = [Path(line.strip()) for line in p.read_text().splitlines() if line.strip()]
+        # relative entries of a list file name files next to the list
+        lines = [line.strip() for line in p.read_text().splitlines()]
+        paths = [p.parent / line for line in lines if line]
     else:
         paths = [p]
     if not paths:
         raise CliIOError(f"no molecule files found under {spec}")
     out = []
+    seen = {}
     for path in paths:
+        if path.stem in seen:
+            raise CliIOError(
+                f"molecules {seen[path.stem]} and {path} share the name {path.stem!r}"
+            )
+        seen[path.stem] = path
         out.append((path.stem, molio.parse_molecule_file(path)))
     return out
 
@@ -439,6 +471,7 @@ def cmd_align_all(config, out_dir: Path) -> int:
     return 1 if missing else 0
 
 
+@_config_values
 def _gpa_config_to_objects(config):
     model = _kernel_model(config["kernel"], config["rho"], config["nu"])
     step1 = Hyperparameters(
@@ -674,12 +707,15 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.subcommand](config, out_dir)
-    except ConfigError as err:
+    except (ConfigError, mcmc.ConfigurationError, KernelDomainError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except (molio.MoleculeParseError, CliIOError, OSError) as err:
         print(f"io error: {err}", file=sys.stderr)
         return 3
+    except (SingularGramError, DegenerateFieldError, EmptyFieldError) as err:
+        print(f"degenerate input: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ degree conversion happens at the CLI boundary only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,8 @@ def wrap_angles(euler) -> np.ndarray:
 
 
 def euler_in_domain(euler) -> bool:
-    """True when every angle lies in [-pi, pi]."""
-    e = np.atleast_1d(np.asarray(euler, dtype=float))
-    return bool(np.all(np.isfinite(e)) and np.all(np.abs(e) <= np.pi))
+    """True when every angle lies in [-pi, pi] (NaN never does)."""
+    return bool((np.abs(np.asarray(euler, dtype=float)) <= np.pi).all())
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -162,13 +162,14 @@ def rotation_matrix(euler) -> np.ndarray:
     e = np.atleast_1d(np.asarray(euler, dtype=float))
     if not euler_in_domain(e):
         raise AngleDomainError(f"angles {e} outside [-pi, pi]")
-    if e.shape[0] == 1:
-        c, s = np.cos(e[0]), np.sin(e[0])
+    t = e.tolist()
+    if len(t) == 1:
+        c, s = math.cos(t[0]), math.sin(t[0])
         return np.array([[c, -s], [s, c]])
-    if e.shape[0] == 3:
-        c1, s1 = np.cos(e[0]), np.sin(e[0])
-        c2, s2 = np.cos(e[1]), np.sin(e[1])
-        c3, s3 = np.cos(e[2]), np.sin(e[2])
+    if len(t) == 3:
+        c1, s1 = math.cos(t[0]), math.sin(t[0])
+        c2, s2 = math.cos(t[1]), math.sin(t[1])
+        c3, s3 = math.cos(t[2]), math.sin(t[2])
         rz1 = np.array([[c1, s1, 0.0], [-s1, c1, 0.0], [0.0, 0.0, 1.0]])
         rx2 = np.array([[1.0, 0.0, 0.0], [0.0, c2, s2], [0.0, -s2, c2]])
         rz3 = np.array([[c3, s3, 0.0], [-s3, c3, 0.0], [0.0, 0.0, 1.0]])
@@ -229,8 +230,8 @@ def euler_prior_log_density(euler) -> float:
     if e.shape[0] == 1:
         return 0.0
     if e.shape[0] == 3:
-        c = abs(np.cos(e[1]))
-        return float(np.log(c)) if c >= _GIMBAL_EPS else -np.inf
+        c = abs(math.cos(e[1]))
+        return math.log(c) if c >= _GIMBAL_EPS else -np.inf
     raise DimensionError(f"expected 1 or 3 Euler angles, got {e.shape[0]}")
 
 

@@ -7,6 +7,19 @@ rotation prior.  One sweep updates, in order: the rotation block, the
 translation block, the precision (Gibbs), the mask of set A and the mask of
 set B.  Dynamic range/weight schedules, simulated annealing, periodic
 escape proposals and threshold-triggered restarts are layered on top.
+
+Mask flips update the kriging state incrementally.  Point coordinates within
+a set never move, so each channel caches the full Gram matrix of each set
+(recomputed only when the kernel range changes) and keeps, per set, weights
+padded to full length (zero at masked points) together with the padded
+inverse P of the active Gram block.  Removing point j gives the weights
+w - P[:, j] w_j / P_jj in O(k); adding it uses v = P g_j and the Schur
+complement s = 1 - g_j'v in O(k^2).  Only an accepted flip updates P, by a
+symmetric rank-1 term.  The Carbo inner product of a proposal is one dot
+product with the cached cross product of the other set's coefficients.
+A full refactorization runs when a state is installed, when the kernel
+range changes, after every _REBUILD_PERIOD accepted flips of a set (to bound
+rounding drift) and for a flip whose pivot is not safely positive.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 from .covariance import CovarianceModel, gram_cholesky, kernel_evaluator
@@ -36,6 +50,16 @@ EXPONENTIAL = "exponential"
 HALF_NORMAL = "half_normal"
 
 _NORM_SQ_FLOOR = 1e-300
+# accepted flips of one point set between full refactorizations (bounds the
+# drift of the rank-1 updates)
+_REBUILD_PERIOD = 64
+# relative pivot below which a flip is refactorized instead of updated
+_SCHUR_FLOOR = 1e-6
+# matrix entries per triangular solve when forming an inverse; OpenBLAS solves
+# blocks up to about this size on the calling thread.  Larger solves wake its
+# helper threads, which then spin between the frequent rebuilds and take the
+# cores of concurrent chains (two pool workers on two cores ran at half speed).
+_SOLVE_BLOCK_ENTRIES = 1000
 
 
 class ConfigurationError(ValueError):
@@ -205,7 +229,7 @@ def log_likelihood(carbo_dissimilarity: float, tau: float, kind: str = EXPONENTI
     (half-normal).  Infinite D gives -inf."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if not np.isfinite(carbo_dissimilarity):
+    if not math.isfinite(carbo_dissimilarity):
         return -np.inf
     if carbo_dissimilarity < 0:
         raise ValueError("dissimilarity must be nonnegative")
@@ -313,60 +337,138 @@ def annealed_target(log_posterior: float, temperature: float) -> float:
     return log_posterior / temperature
 
 
+@dataclass(slots=True, eq=False)
+class _Kriged:
+    """Padded kriging state of one masked point set in one channel.
+
+    w holds the weights (zero at masked points), inv the inverse of the
+    active Gram block (zero rows and columns at masked points) and norm the
+    RKHS norm sqrt(w'z).  jitter is the diagonal shift the factorization
+    needed; rank-1 updates keep it.  A state returned by `flipped` shares
+    inv with its parent and carries the rank-1 term in `pending` until
+    `settle` applies it in place.
+    """
+
+    w: np.ndarray
+    inv: np.ndarray
+    norm: float
+    jitter: float
+    pending: tuple | None = None
+
+    def flipped(self, gram, marks, j: int, adding: bool) -> "_Kriged | None":
+        """State after flipping point j: O(k) for a removal, O(k^2) for an
+        addition.  None when the pivot (the removed point's inverse diagonal
+        or the added point's Schur complement) is not safely positive."""
+        if adding:
+            g = gram[j]
+            u = self.inv @ g
+            diag = gram[j, j] + self.jitter
+            s = diag - g @ u
+            if not s > _SCHUR_FLOOR * diag:
+                return None
+            u[j] = -1.0
+            w = self.w - u * ((marks[j] - g @ self.w) / s)
+            c = 1.0 / s
+        else:
+            u = self.inv[j].copy()
+            if not u[j] > 0.0:
+                return None
+            w = self.w - u * (self.w[j] / u[j])
+            w[j] = 0.0
+            c = -1.0 / u[j]
+        norm_sq = float(w @ marks)
+        if norm_sq <= _NORM_SQ_FLOOR:
+            raise DegenerateFieldError("masked field has zero RKHS norm")
+        return _Kriged(w, self.inv, math.sqrt(norm_sq), self.jitter, (j, u, c, adding))
+
+    def settle(self):
+        """Apply the pending update inv += c u u' (the parent state is
+        discarded, so inv is updated in place)."""
+        if self.pending is None:
+            return
+        j, u, c, adding = self.pending
+        self.inv += c * np.outer(u, u)
+        if not adding:
+            self.inv[j] = 0.0
+            self.inv[:, j] = 0.0
+        self.pending = None
+
+
+def _cholesky_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of L L' from its lower Cholesky factor, solved a block of
+    columns at a time so that no solve exceeds _SOLVE_BLOCK_ENTRIES."""
+    n = chol.shape[0]
+    eye = np.eye(n)
+    out = np.empty((n, n))
+    step = max(1, _SOLVE_BLOCK_ENTRIES // n)
+    for i in range(0, n, step):
+        cols = slice(i, i + step)
+        out[:, cols] = cho_solve((chol, True), eye[:, cols], check_finite=False)
+    return out
+
+
+def _factor_side(model: CovarianceModel, coords, gram, marks, mask) -> _Kriged:
+    """Full kriging solve of a masked set from its cached full Gram matrix;
+    raises DegenerateFieldError when the RKHS norm vanishes."""
+    act = np.flatnonzero(mask)
+    block = np.ix_(act, act)
+    chol, jitter = gram_cholesky(model, coords[act], gram=gram[block])
+    z = marks[act]
+    w_act = solve_weights(chol, z)
+    norm_sq = float(w_act @ z)
+    if norm_sq <= _NORM_SQ_FLOOR:
+        raise DegenerateFieldError("masked field has zero RKHS norm")
+    k = mask.shape[0]
+    w = np.zeros(k)
+    w[act] = w_act
+    inv_act = _cholesky_inverse(chol)
+    inv = np.zeros((k, k))
+    inv[block] = 0.5 * (inv_act + inv_act.T)
+    return _Kriged(w, inv, math.sqrt(norm_sq), jitter)
+
+
 class _Channel:
-    """Per-channel kernels, marks, weights and cross terms."""
+    """Per-channel kernel, marks, cached Gram matrices, kriging states and
+    cross terms.  Per-side entries are keyed "a" and "b"; proj["a"] =
+    kcross coeff_b and proj["b"] = coeff_a' kcross, so a proposal on one
+    side scores its new coefficients against proj of that side."""
 
     __slots__ = (
         "base_model",
         "model",
         "kernel_fn",
-        "marks_a",
-        "marks_b",
-        "ref_coeffs",
-        "w_a",
-        "norm_a",
-        "coeff_a",
-        "w_b",
-        "norm_b",
-        "coeff_b",
+        "marks",
+        "gram",
+        "kriged",
+        "coeff",
         "kcross",
+        "proj",
         "inner",
         "similarity",
     )
 
     def __init__(self, model: CovarianceModel, marks_a, marks_b, ref_coeffs=None):
         self.base_model = model
-        self.marks_a = None if marks_a is None else np.asarray(marks_a, dtype=float)
-        self.marks_b = np.asarray(marks_b, dtype=float)
-        self.ref_coeffs = (
-            None if ref_coeffs is None else np.asarray(ref_coeffs, dtype=float)
-        )
-        self.set_model(model)
+        self.model = None
+        self.marks = {
+            "a": None if marks_a is None else np.asarray(marks_a, dtype=float),
+            "b": np.asarray(marks_b, dtype=float),
+        }
+        self.kriged = {"a": None, "b": None}
+        self.coeff = {
+            "a": None if ref_coeffs is None else np.asarray(ref_coeffs, dtype=float),
+            "b": None,
+        }
+        self.proj = {}
 
-    def set_model(self, model: CovarianceModel):
+    def set_model(self, model: CovarianceModel, dists: dict):
+        """Switch the kernel, recomputing the cached Gram matrices of the
+        given within-set distances only when the model changes."""
+        if model == self.model:
+            return
         self.model = model
         self.kernel_fn = kernel_evaluator(model)
-
-
-def _side_weights(
-    model: CovarianceModel,
-    coords: np.ndarray,
-    marks: np.ndarray,
-    active: np.ndarray,
-    kernel_fn=None,
-):
-    """Kriging weights and RKHS norm of the masked side; raises
-    DegenerateFieldError when the norm vanishes."""
-    sub = coords[active]
-    gram = kernel_fn(cdist(sub, sub)) if kernel_fn is not None else None
-    chol, _ = gram_cholesky(model, sub, gram=gram)
-    z = marks[active]
-    w = solve_weights(chol, z)
-    norm_sq = float(w @ z)
-    if norm_sq <= _NORM_SQ_FLOOR:
-        raise DegenerateFieldError("masked field has zero RKHS norm")
-    norm = math.sqrt(norm_sq)
-    return w, norm
+        self.gram = {side: self.kernel_fn(d) for side, d in dists.items()}
 
 
 class PairEngine:
@@ -425,8 +527,6 @@ class PairEngine:
         self.gmat = np.eye(self.m)
         self.mask_a: np.ndarray | None = None
         self.mask_b: np.ndarray | None = None
-        self.act_a: np.ndarray | None = None
-        self.act_b: np.ndarray | None = None
         self.tau = 1.0
         self.temperature = 1.0
         self.weight_q = hyper.weight_q
@@ -438,6 +538,15 @@ class PairEngine:
         self.lp_tau = 0.0
         self.log_posterior = -np.inf
         self.counters: dict[str, list[int]] = {}
+        # within-set distances never change; accepted flips per side since
+        # that side was last refactorized
+        self._dist = {"b": cdist(self.coords_b, self.coords_b)}
+        if not field_mode:
+            self._dist["a"] = cdist(self.coords_a, self.coords_a)
+        for ch in channels:
+            ch.set_model(ch.base_model, self._dist)
+        self._flips = {"a": 0, "b": 0}
+        self._n_on = {"a": 0, "b": 0}  # unmasked points per side
 
     # -- construction ----------------------------------------------------
 
@@ -490,14 +599,30 @@ class PairEngine:
         moved = self.coords_b @ gmat.T + translation
         return channel.kernel_fn(cdist(self.coords_a, moved))
 
-    def _similarity(self, channel: _Channel, kcross, act_a, coeff_a, act_b, coeff_b):
-        if self.field_mode:
-            sub = kcross[:, act_b]
-            inner = float(coeff_a @ sub @ coeff_b)
-        else:
-            sub = kcross[np.ix_(act_a, act_b)]
-            inner = float(coeff_a @ sub @ coeff_b)
-        return inner, float(np.clip(inner, -1.0, 1.0))
+    def _similarity(self, coeff: np.ndarray, proj: np.ndarray):
+        # Carbo inner product of padded coefficients with a cached cross
+        # product; masked entries are zero, so no gathers are needed
+        inner = float(coeff @ proj)
+        return inner, min(max(inner, -1.0), 1.0)
+
+    def _rebuild(self, ch: _Channel, sides=("a", "b")):
+        """Refactorize the named sides of one channel from its cached Gram
+        matrices, then recompute its cross kernel and Carbo terms."""
+        for side, coords, mask in (
+            ("a", self.coords_a, self.mask_a),
+            ("b", self.coords_b, self.mask_b),
+        ):
+            if side in sides and mask is not None:
+                kriged = _factor_side(
+                    ch.model, coords, ch.gram[side], ch.marks[side], mask
+                )
+                ch.kriged[side] = kriged
+                ch.coeff[side] = kriged.w / kriged.norm
+                self._flips[side] = 0
+        ch.kcross = self._cross(ch, self.gmat, self.translation)
+        ch.proj["a"] = ch.kcross @ ch.coeff["b"]
+        ch.proj["b"] = ch.coeff["a"] @ ch.kcross
+        ch.inner, ch.similarity = self._similarity(ch.coeff["a"], ch.proj["a"])
 
     def _combined(self, sims: list[float]) -> float:
         if len(sims) == 1:
@@ -510,17 +635,15 @@ class PairEngine:
             total += (1.0 - wq) * dissimilarity_from_similarity(sims[1])
         return total
 
-    def _mask_prior_value(self, mask_a, mask_b) -> float:
-        total = float(mask_b.sum())
+    def _mask_prior_value(self, mask_a, mask_b, total: int) -> float:
+        """Log mask prior given the masks and their total unmasked count."""
         boundary = 0.0
-        if mask_a is not None:
-            total += float(mask_a.sum())
         if self.hyper.zeta_i != 1.0:
             boundary = _boundary_count(mask_b, self._pairs_b)
             if mask_a is not None and self._pairs_a is not None:
                 boundary += _boundary_count(mask_a, self._pairs_a)
         return _mask_log_prior_exponents(
-            self.hyper.zeta, self.hyper.zeta_i, total, boundary
+            self.hyper.zeta, self.hyper.zeta_i, float(total), boundary
         )
 
     def _refresh_scalars(self):
@@ -552,37 +675,24 @@ class PairEngine:
         self.gmat = transform.matrix
         if self.field_mode:
             self.mask_a = None
-            self.act_a = None
         else:
             if mask_a is None:
                 mask_a = np.ones(self.coords_a.shape[0], dtype=bool)
             self.mask_a = np.array(mask_a, dtype=bool)
             if not self.mask_a.any():
                 raise EmptyFieldError("mask of set A is empty")
-            self.act_a = np.flatnonzero(self.mask_a)
         self.mask_b = np.array(mask_b, dtype=bool)
         if not self.mask_b.any():
             raise EmptyFieldError("mask of set B is empty")
-        self.act_b = np.flatnonzero(self.mask_b)
         for ch in self.channels:
-            if self.field_mode:
-                ch.coeff_a = ch.ref_coeffs
-                ch.w_a = None
-                ch.norm_a = 1.0
-            else:
-                ch.w_a, ch.norm_a = _side_weights(
-                    ch.model, self.coords_a, ch.marks_a, self.act_a, ch.kernel_fn
-                )
-                ch.coeff_a = ch.w_a / ch.norm_a
-            ch.w_b, ch.norm_b = _side_weights(
-                ch.model, self.coords_b, ch.marks_b, self.act_b, ch.kernel_fn
-            )
-            ch.coeff_b = ch.w_b / ch.norm_b
-            ch.kcross = self._cross(ch, self.gmat, self.translation)
-            ch.inner, ch.similarity = self._similarity(
-                ch, ch.kcross, self.act_a, ch.coeff_a, self.act_b, ch.coeff_b
-            )
-        self.lp_mask = self._mask_prior_value(self.mask_a, self.mask_b)
+            self._rebuild(ch)
+        self._n_on = {
+            "a": 0 if self.mask_a is None else int(self.mask_a.sum()),
+            "b": int(self.mask_b.sum()),
+        }
+        self.lp_mask = self._mask_prior_value(
+            self.mask_a, self.mask_b, self._n_on["a"] + self._n_on["b"]
+        )
         self.lp_euler = euler_prior_log_density(self.euler)
         if tau is None:
             if rng is None:
@@ -608,20 +718,8 @@ class PairEngine:
             return
         self.rho_current = rho
         for ch in self.channels:
-            ch.set_model(ch.base_model.with_rho(rho))
-            if not self.field_mode:
-                ch.w_a, ch.norm_a = _side_weights(
-                    ch.model, self.coords_a, ch.marks_a, self.act_a, ch.kernel_fn
-                )
-                ch.coeff_a = ch.w_a / ch.norm_a
-            ch.w_b, ch.norm_b = _side_weights(
-                ch.model, self.coords_b, ch.marks_b, self.act_b, ch.kernel_fn
-            )
-            ch.coeff_b = ch.w_b / ch.norm_b
-            ch.kcross = self._cross(ch, self.gmat, self.translation)
-            ch.inner, ch.similarity = self._similarity(
-                ch, ch.kcross, self.act_a, ch.coeff_a, self.act_b, ch.coeff_b
-            )
+            ch.set_model(ch.base_model.with_rho(rho), self._dist)
+            self._rebuild(ch)
         self._refresh_scalars()
 
     def prepare_attempt(self):
@@ -633,7 +731,7 @@ class PairEngine:
             rho = h.range_schedule.value(1)
             self.rho_current = rho
             for ch in self.channels:
-                ch.set_model(ch.base_model.with_rho(rho))
+                ch.set_model(ch.base_model.with_rho(rho), self._dist)
         self.weight_q = (
             h.weight_schedule.value(1) if h.weight_schedule is not None else h.weight_q
         )
@@ -649,10 +747,7 @@ class PairEngine:
         self.gmat = transform.matrix
         self.lp_euler = euler_prior_log_density(self.euler)
         for ch in self.channels:
-            ch.kcross = self._cross(ch, self.gmat, self.translation)
-            ch.inner, ch.similarity = self._similarity(
-                ch, ch.kcross, self.act_a, ch.coeff_a, self.act_b, ch.coeff_b
-            )
+            self._rebuild(ch, sides=())
         self._refresh_scalars()
 
     def begin_iteration(self, iteration: int):
@@ -706,21 +801,20 @@ class PairEngine:
             gmat_new = self.gmat
         else:
             raise ValueError(f"unknown rigid block {block!r}")
-        kcross_new = []
+        cross_new = []
         sims_new = []
         inners_new = []
         for ch in self.channels:
             k = self._cross(ch, gmat_new, translation_new)
-            inner, sim = self._similarity(
-                ch, k, self.act_a, ch.coeff_a, self.act_b, ch.coeff_b
-            )
-            kcross_new.append(k)
+            proj_a = k @ ch.coeff["b"]
+            inner, sim = self._similarity(ch.coeff["a"], proj_a)
+            cross_new.append((k, proj_a))
             inners_new.append(inner)
             sims_new.append(sim)
         d_new = self._combined(sims_new)
         ll_new = log_likelihood(d_new, self.tau, self.hyper.likelihood_kind)
         delta = (ll_new + lp_euler_new) - (self.log_lik + self.lp_euler)
-        if np.isnan(delta):  # both -inf
+        if math.isnan(delta):  # both -inf
             delta = -np.inf
         accepted = self._accept(rng, delta)
         if accepted:
@@ -728,8 +822,12 @@ class PairEngine:
             self.translation = np.asarray(translation_new, dtype=float)
             self.gmat = gmat_new
             self.lp_euler = lp_euler_new
-            for ch, k, inner, sim in zip(self.channels, kcross_new, inners_new, sims_new):
+            for ch, (k, proj_a), inner, sim in zip(
+                self.channels, cross_new, inners_new, sims_new
+            ):
                 ch.kcross = k
+                ch.proj["a"] = proj_a
+                ch.proj["b"] = ch.coeff["a"] @ k
                 ch.inner = inner
                 ch.similarity = sim
             self.dissimilarity = d_new
@@ -759,70 +857,75 @@ class PairEngine:
         if side == "a":
             if self.field_mode:
                 raise ConfigurationError("the reference field has no mask")
-            mask, act, coords = self.mask_a, self.act_a, self.coords_a
+            mask, coords = self.mask_a, self.coords_a
         elif side == "b":
-            mask, act, coords = self.mask_b, self.act_b, self.coords_b
+            mask, coords = self.mask_b, self.coords_b
         else:
             raise ValueError(f"unknown mask side {side!r}")
         block = f"mask_{side}"
         idx = int(rng.integers(mask.shape[0]))
-        mask_new = mask.copy()
-        mask_new[idx] = not mask_new[idx]
-        if not mask_new.any():
+        adding = not mask[idx]
+        n_on = self._n_on[side] + (1 if adding else -1)
+        if n_on == 0:
             self._count(block, False)
             return False
-        act_new = np.flatnonzero(mask_new)
-        sides_new = []
+        mask_new = mask.copy()
+        mask_new[idx] = adding
+        kriged_new = []
         sims_new = []
         inners_new = []
         try:
             for ch in self.channels:
-                marks = ch.marks_a if side == "a" else ch.marks_b
-                w, norm = _side_weights(ch.model, coords, marks, act_new)
-                coeff = w / norm
-                if side == "a":
-                    inner, sim = self._similarity(
-                        ch, ch.kcross, act_new, coeff, self.act_b, ch.coeff_b
+                kriged = ch.kriged[side].flipped(ch.gram[side], ch.marks[side], idx, adding)
+                if kriged is None:
+                    kriged = _factor_side(
+                        ch.model, coords, ch.gram[side], ch.marks[side], mask_new
                     )
-                else:
-                    inner, sim = self._similarity(
-                        ch, ch.kcross, self.act_a, ch.coeff_a, act_new, coeff
-                    )
-                sides_new.append((w, norm, coeff))
+                coeff = kriged.w / kriged.norm
+                inner, sim = self._similarity(coeff, ch.proj[side])
+                kriged_new.append((kriged, coeff))
                 inners_new.append(inner)
                 sims_new.append(sim)
         except DegenerateFieldError:
             self._count(block, False)
             return False
+        total = n_on + self._n_on["b" if side == "a" else "a"]
         if side == "a":
-            lp_mask_new = self._mask_prior_value(mask_new, self.mask_b)
+            lp_mask_new = self._mask_prior_value(mask_new, self.mask_b, total)
         else:
-            lp_mask_new = self._mask_prior_value(self.mask_a, mask_new)
+            lp_mask_new = self._mask_prior_value(self.mask_a, mask_new, total)
         d_new = self._combined(sims_new)
         ll_new = log_likelihood(d_new, self.tau, self.hyper.likelihood_kind)
         delta = (ll_new + lp_mask_new) - (self.log_lik + self.lp_mask)
-        if np.isnan(delta):
+        if math.isnan(delta):
             delta = -np.inf
         accepted = self._accept(rng, delta)
         if accepted:
             if side == "a":
-                self.mask_a, self.act_a = mask_new, act_new
-                for ch, (w, norm, coeff), inner, sim in zip(
-                    self.channels, sides_new, inners_new, sims_new
-                ):
-                    ch.w_a, ch.norm_a, ch.coeff_a = w, norm, coeff
-                    ch.inner, ch.similarity = inner, sim
+                self.mask_a = mask_new
             else:
-                self.mask_b, self.act_b = mask_new, act_new
-                for ch, (w, norm, coeff), inner, sim in zip(
-                    self.channels, sides_new, inners_new, sims_new
-                ):
-                    ch.w_b, ch.norm_b, ch.coeff_b = w, norm, coeff
-                    ch.inner, ch.similarity = inner, sim
+                self.mask_b = mask_new
+            for ch, (kriged, coeff), inner, sim in zip(
+                self.channels, kriged_new, inners_new, sims_new
+            ):
+                kriged.settle()
+                ch.kriged[side] = kriged
+                ch.coeff[side] = coeff
+                if side == "a":
+                    ch.proj["b"] = coeff @ ch.kcross
+                else:
+                    ch.proj["a"] = ch.kcross @ coeff
+                ch.inner, ch.similarity = inner, sim
             self.lp_mask = lp_mask_new
             self.dissimilarity = d_new
             self.log_lik = ll_new
             self.log_posterior = ll_new + self.lp_tau + self.lp_mask + self.lp_euler
+            self._n_on[side] = n_on
+            self._flips[side] += 1
+            if self._flips[side] >= _REBUILD_PERIOD:
+                for ch in self.channels:
+                    self._rebuild(ch, sides=(side,))
+                self._refresh_scalars()
         self._count(block, accepted)
         return accepted
 
@@ -831,9 +934,8 @@ class PairEngine:
     def _channel_score(self, ch: _Channel) -> CarboScore:
         if self.field_mode:
             return CarboScore.from_inner(ch.inner, 1.0, 1.0)
-        return CarboScore.from_inner(
-            ch.inner * ch.norm_a * ch.norm_b, ch.norm_a, ch.norm_b
-        )
+        norm_a, norm_b = ch.kriged["a"].norm, ch.kriged["b"].norm
+        return CarboScore.from_inner(ch.inner * norm_a * norm_b, norm_a, norm_b)
 
     def snapshot(self, iteration: int = 0) -> ChainState:
         scores = tuple(self._channel_score(ch) for ch in self.channels)

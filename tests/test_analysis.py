@@ -63,6 +63,15 @@ class TestDistanceMatrix:
         assert again.labels == m.labels
         assert np.array_equal(again.values, m.values)
 
+    def test_round_trip_labels_with_spaces(self, tmp_path):
+        d = random_distance_matrix(np.random.default_rng(1), 3)
+        m = DistanceMatrix(d, labels=("my mol", "other  mol", "c"))
+        path = tmp_path / "d.tsv"
+        m.save(path, header_lines=["config: {}"])
+        again = DistanceMatrix.load(path)
+        assert again.labels == m.labels
+        assert np.array_equal(again.values, m.values)
+
 
 class TestWardCluster:
     def test_two_items_single_merge(self):

@@ -4,12 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fieldalign import mcmc
 from fieldalign.cli import (
+    CliIOError,
     ConfigError,
+    _read_molecules,
     build_config,
     load_config_file,
     main,
 )
+from fieldalign.covariance import SingularGramError
 
 DATA = Path(__file__).parent / "data"
 
@@ -317,3 +321,109 @@ class TestAlignAllCommand:
             assert row[0] == 0.0 and row[1] > 0.0
         payload = json.loads((out / "align_all.json").read_text())
         assert payload["failed_pairs"] == []
+
+
+def write_molecule(path, coords, charges):
+    lines = [
+        "C " + " ".join(repr(float(v)) for v in (*xyz, q)) + " 1.7"
+        for xyz, q in zip(coords, charges)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_gpa_json(path, molecules, masks):
+    identity = {"euler_degrees": [0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}
+    path.write_text(json.dumps(
+        {"molecules": molecules, "transforms": [identity] * len(molecules), "masks": masks}
+    ))
+
+
+def tfield_args(tmp_path, mask):
+    gpa_json = tmp_path / "gpa.json"
+    write_gpa_json(gpa_json, ["big"], [mask])
+    return [
+        "tfield",
+        "--set", f"molecules={tmp_path / 'big.mol'}",
+        "--set", f"transforms_from={gpa_json}",
+        "--set", f"group_a={gpa_json}",
+        "--set", f"group_b={gpa_json}",
+        "--out-dir", tmp_path / "out",
+    ]
+
+
+def pair_args(tmp_path, *settings, mol_a=DATA / "mol_a.mol"):
+    args = ["align-pair", "--set", f"molecule_a={mol_a}",
+            "--set", f"molecule_b={DATA / 'mol_b.mol'}", "--set", "iterations=100",
+            "--set", "weight_initial_iters=20", "--set", "restart_check=50",
+            "--out-dir", tmp_path / "out"]
+    for item in settings:
+        args += ["--set", item]
+    return args
+
+
+class TestErrorExitCodes:
+    """Library errors end in a documented exit code and one stderr line."""
+
+    def check(self, capsys, args, code, prefix):
+        assert run_cli(args) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix), err
+
+    def test_sampler_configuration_error(self, tmp_path, capsys):
+        # Hyperparameters raises mcmc.ConfigurationError
+        self.check(capsys, pair_args(tmp_path, "iterations=0"), 2, "configuration error:")
+
+    def test_invalid_kernel_parameter(self, tmp_path, capsys):
+        # CovarianceModel raises a plain ValueError
+        self.check(
+            capsys, pair_args(tmp_path, "kernel=matern", "nu=-1"), 2, "configuration error:"
+        )
+
+    def test_kernel_domain_error(self, tmp_path, capsys):
+        # the atoms are 2e308 apart: the distance overflows to inf
+        write_molecule(tmp_path / "big.mol", [(1e308, 0.0, 0.0), (-1e308, 0.0, 0.0)], [0.1, -0.1])
+        self.check(capsys, tfield_args(tmp_path, [1, 1]), 2, "configuration error:")
+
+    def test_singular_gram(self, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularGramError("Gram matrix is singular")
+
+        monkeypatch.setattr(mcmc, "gram_cholesky", singular)
+        self.check(capsys, pair_args(tmp_path), 4, "degenerate input:")
+
+    def test_zero_marks_give_degenerate_field(self, tmp_path, capsys):
+        mol = tmp_path / "zero.mol"
+        write_molecule(mol, np.eye(3), [0.0, 0.0, 0.0])
+        self.check(
+            capsys, pair_args(tmp_path, "channel=charge", mol_a=mol), 4, "degenerate input:"
+        )
+
+    def test_all_masked_group_gives_empty_field(self, tmp_path, capsys):
+        write_molecule(tmp_path / "big.mol", np.eye(3), [0.1, 0.2, 0.3])
+        self.check(capsys, tfield_args(tmp_path, [0, 0, 0]), 4, "degenerate input:")
+
+
+class TestReadMolecules:
+    def test_list_file_entries_resolve_next_to_the_list(self, tmp_path, monkeypatch):
+        listed = tmp_path / "lists"
+        (listed / "mols").mkdir(parents=True)
+        for name in ("mol_a.mol", "mol_b.mol"):
+            (listed / "mols" / name).write_bytes((DATA / name).read_bytes())
+        (listed / "set.txt").write_text("mols/mol_a.mol\n\nmols/mol_b.mol\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        names = [name for name, _mol in _read_molecules(str(listed / "set.txt"))]
+        assert names == ["mol_a", "mol_b"]
+
+    def test_duplicate_stems_rejected(self, tmp_path, capsys):
+        for sub in ("x", "y"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "mol.mol").write_bytes((DATA / "mol_a.mol").read_bytes())
+        listing = tmp_path / "set.txt"
+        listing.write_text(f"x/mol.mol\n{tmp_path / 'y' / 'mol.mol'}\n")
+        with pytest.raises(CliIOError, match="'mol'"):
+            _read_molecules(str(listing))
+        code = run_cli(["gpa", "--set", f"molecules={listing}", "--out-dir", tmp_path / "out"])
+        assert code == 3
+        assert "'mol'" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from fieldalign.geometry import (
     MarkedPointSet,
     RigidTransform,
     apply_transform,
+    euler_in_domain,
     euler_prior_log_density,
     principal_axes_transform,
     random_rotation,
@@ -144,6 +145,14 @@ class TestEulerPrior:
 
     def test_2d_flat(self):
         assert euler_prior_log_density([1.2]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 3.5])
+    def test_angles_outside_domain_raise(self, bad):
+        assert not euler_in_domain([0.0, bad, 0.0])
+        with pytest.raises(AngleDomainError):
+            euler_prior_log_density([0.0, bad, 0.0])
+        with pytest.raises(AngleDomainError):
+            rotation_matrix([bad])
 
 
 class TestRmsd:
