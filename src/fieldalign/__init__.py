@@ -36,7 +36,7 @@ from .gpa import (
     multi_carbo,
     run_field_gpa,
 )
-from .kriging import PredictedField, build_field, kriging_weights, predict_field
+from .kriging import PredictedField, build_field
 from .mcmc import (
     AlignmentResult,
     ChainState,
@@ -44,12 +44,9 @@ from .mcmc import (
     InitSpec,
     LinearSchedule,
     PairEngine,
-    annealed_target,
     gibbs_update_tau,
     log_likelihood,
     mask_log_prior,
-    mh_step_mask,
-    mh_step_rigid,
     run_pairwise_alignment,
 )
 from .molio import parse_molecule_file, write_molecule_file

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial.distance import squareform
 
 
 class DistanceError(ValueError):
@@ -32,6 +33,8 @@ class DistanceMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DistanceError("distance matrix must be square")
+        if not np.all(np.isfinite(v)):
+            raise DistanceError("distances must be finite")
         if not np.allclose(v, v.T, atol=1e-12):
             raise DistanceError("distance matrix must be symmetric")
         if np.any(np.diag(v) != 0):
@@ -60,12 +63,32 @@ class DistanceMatrix:
 
     @classmethod
     def load(cls, path, kind: str = "map") -> "DistanceMatrix":
+        """Read what save writes; a malformed file raises DistanceError
+        naming the file (and the line, where one line is at fault)."""
         with open(path) as fh:
-            body = [line for line in fh if line.strip() and not line.startswith("#")]
+            body = [
+                (lineno, line)
+                for lineno, line in enumerate(fh, start=1)
+                if line.strip() and not line.startswith("#")
+            ]
+        if not body:
+            raise DistanceError(f"{path}: no label line")
         # tab-separated like save writes it: labels may contain spaces
-        labels = body[0].rstrip("\r\n").split("\t")
-        rows = [[float(x) for x in line.split("\t")] for line in body[1:]]
-        return cls(np.array(rows), kind=kind, labels=labels)
+        labels = body[0][1].rstrip("\r\n").split("\t")
+        rows = []
+        for lineno, line in body[1:]:
+            try:
+                rows.append([float(x) for x in line.split("\t")])
+            except ValueError:
+                raise DistanceError(f"{path}:{lineno}: non-numeric distance") from None
+            if len(rows[-1]) != len(labels):
+                raise DistanceError(
+                    f"{path}:{lineno}: {len(rows[-1])} distances for {len(labels)} labels"
+                )
+        try:
+            return cls(np.array(rows), kind=kind, labels=labels)
+        except DistanceError as err:
+            raise DistanceError(f"{path}: {err}") from None
 
 
 @dataclass(eq=False)
@@ -109,63 +132,19 @@ class WardDendrogram:
 def ward_cluster(distances) -> WardDendrogram:
     """Agglomerative clustering by Ward's minimum-variance criterion.
 
-    Uses the Lance-Williams distance update
-    d(k, i+j) = sqrt[((n_i + n_k) d_ki^2 + (n_j + n_k) d_kj^2
-                      - n_k d_ij^2) / (n_i + n_j + n_k)],
-    merging the closest active pair at every step (ties broken by lowest
-    indices).  Heights are checked to be non-decreasing.
+    scipy's linkage(method="ward") on the condensed distances (Muellner
+    2011, arXiv:1109.2378); merge heights are non-decreasing.
     """
-    if isinstance(distances, DistanceMatrix):
-        labels = distances.labels
-        d = distances.values.copy()
-    else:
-        d = np.asarray(distances, dtype=float).copy()
-        labels = tuple(str(i) for i in range(d.shape[0]))
-        DistanceMatrix(d)  # validate
-    n = d.shape[0]
-    if n < 2:
+    # imported here, not at module level: importing scipy.cluster would add
+    # tens of milliseconds to every CLI start, clustering or not
+    from scipy.cluster.hierarchy import linkage
+
+    if not isinstance(distances, DistanceMatrix):
+        distances = DistanceMatrix(distances)
+    if distances.n < 2:
         raise DistanceError("clustering needs at least two items")
-    sizes = {i: 1 for i in range(n)}
-    ids = list(range(n))  # active cluster ids; position-aligned with d
-    work = d
-    merges = np.zeros((n - 1, 4))
-    last_height = 0.0
-    for step in range(n - 1):
-        k = len(ids)
-        best = None
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                if best is None or work[p, q] < best[0]:
-                    best = (work[p, q], p, q)
-        h, p, q = best
-        if h < last_height - 1e-12:
-            raise AssertionError("Ward merge heights must be non-decreasing")
-        last_height = max(last_height, h)
-        ci, cj = ids[p], ids[q]
-        ni, nj = sizes[ci], sizes[cj]
-        new_id = n + step
-        merges[step] = (min(ci, cj), max(ci, cj), h, ni + nj)
-        # Lance-Williams update against every other active cluster
-        new_row = np.zeros(k)
-        for r in range(k):
-            if r in (p, q):
-                continue
-            nk = sizes[ids[r]]
-            num = (
-                (ni + nk) * work[p, r] ** 2
-                + (nj + nk) * work[q, r] ** 2
-                - nk * h**2
-            )
-            new_row[r] = np.sqrt(max(num / (ni + nj + nk), 0.0))
-        keep = [r for r in range(k) if r not in (p, q)]
-        work = work[np.ix_(keep, keep)]
-        row = new_row[keep]
-        work = np.block(
-            [[work, row[:, None]], [row[None, :], np.zeros((1, 1))]]
-        )
-        ids = [ids[r] for r in keep] + [new_id]
-        sizes[new_id] = ni + nj
-    return WardDendrogram(merges, labels)
+    merges = linkage(squareform(distances.values, checks=False), method="ward")
+    return WardDendrogram(merges, distances.labels)
 
 
 @dataclass(frozen=True)

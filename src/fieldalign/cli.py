@@ -47,6 +47,8 @@ class CliIOError(OSError):
 # -- configuration schema ----------------------------------------------------
 
 _REQUIRED = object()
+# a key whose default is AUTO also accepts the value 'auto'
+AUTO = "auto"
 
 _ALIGN_KEYS = {
     "channel": (str, "both"),
@@ -58,11 +60,11 @@ _ALIGN_KEYS = {
     "beta": (float, 0.04),
     "zeta": (float, 3.0),
     "zeta_interaction": (float, 1.0),
-    "neighbor_delta": (float, 0.0),  # 0 = auto (twice the steric range)
+    "neighbor_delta": (float, AUTO),  # auto: twice the smallest range
     "rotation_sd_deg": (float, 3.25),
     "translation_sd": (float, 0.25),
     "iterations": (int, 10_000),
-    "burn_in": (int, 0),  # 0 = default (20% of iterations)
+    "burn_in": (int, AUTO),  # auto: 20% of iterations
     "thin": (int, 20),
     "escape_period": (int, 125),
     "escape_scale": (float, 10.0),
@@ -143,7 +145,7 @@ _SCHEMAS: dict[str, dict] = {
         "zetas": (str, "10,50,90"),
         "beta_zeta": (str, "0.04:70"),
         "zeta_subsample": (bool, False),
-        "iterations": (int, 0),  # 0 = scenario default
+        "iterations": (int, AUTO),  # auto: scenario default
         "n_fields": (int, 3),
         "reference": (str, ""),
         "workers": (int, 2),
@@ -209,7 +211,9 @@ def build_config(subcommand: str, file_values: dict, overrides: dict, profile: s
     for key, raw in merged.items():
         if key not in schema:
             raise ConfigError(f"unknown configuration key {key!r} for {subcommand}")
-        config[key] = _parse_value(raw, schema[key][0])
+        typ, default = schema[key]
+        auto = default == AUTO and raw.strip().lower() == AUTO
+        config[key] = AUTO if auto else _parse_value(raw, typ)
     for key, (_typ, default) in schema.items():
         if key in config:
             continue
@@ -220,6 +224,11 @@ def build_config(subcommand: str, file_values: dict, overrides: dict, profile: s
 
 
 # -- shared pieces -------------------------------------------------------------
+
+
+def _auto_none(value):
+    """None (the library default) for 'auto', else the value itself."""
+    return None if value == AUTO else value
 
 
 def _config_values(build):
@@ -273,11 +282,11 @@ def _pair_hyper(config, n_channels: int) -> Hyperparameters:
         beta=config["beta"],
         zeta=config["zeta"],
         zeta_i=config["zeta_interaction"],
-        neighbor_delta=config["neighbor_delta"] or None,
+        neighbor_delta=_auto_none(config["neighbor_delta"]),
         proposal_sd_rotation=np.radians(config["rotation_sd_deg"]),
         proposal_sd_translation=config["translation_sd"],
         n_iterations=config["iterations"],
-        burn_in=config["burn_in"] or None,
+        burn_in=_auto_none(config["burn_in"]),
         thin=config["thin"],
         escape_period=config["escape_period"] or None,
         escape_scale=config["escape_scale"],
@@ -457,7 +466,7 @@ def cmd_align_all(config, out_dir: Path) -> int:
     _write_json(out_dir / "align_all.json", embed)
     comments = _artifact_comments(config)
     for kind, mat in (("map", mat_map), ("mean", mat_mean)):
-        if not np.isnan(mat).any():
+        if np.isfinite(mat).all():
             analysis.DistanceMatrix(mat, kind=kind, labels=names).save(
                 out_dir / f"d{kind}.tsv", header_lines=comments
             )
@@ -494,14 +503,9 @@ def _gpa_config_to_objects(config):
         n_iterations=config["refine_iterations"],
         escape_period=None,
     )
-    init = InitSpec(
-        rotation_range=np.radians(config["init_rotation_deg"]),
-        translation_range=config["init_translation"],
-        mask_p=config["mask_init_p"],
-    )
     return model, gpa.GpaConfig(
         step1_hyper=step1,
-        step1_init=init,
+        step1_init=_pair_init(config),
         refine_hyper=refine,
         tol=config["tol"],
         max_passes=config["max_passes"],
@@ -606,6 +610,9 @@ def cmd_tfield(config, out_dir: Path) -> int:
 
 def cmd_simulate(config, out_dir: Path) -> int:
     scenario = config["scenario"]
+    n_iterations = _auto_none(config["iterations"])
+    if n_iterations is not None and n_iterations < 1:
+        raise ConfigError("iterations must be positive or auto")
     if scenario in ("setting1", "setting2"):
         zetas = [float(z) for z in config["zetas"].split(",") if z]
         records = simulation.run_success_study(
@@ -614,7 +621,7 @@ def cmd_simulate(config, out_dir: Path) -> int:
             hyper_grid=zetas,
             rng_seed=config["seed"],
             workers=max(1, config["workers"]),
-            n_iterations=config["iterations"] or None,
+            n_iterations=n_iterations,
             n_fields=config["n_fields"],
             zeta_subsample=config["zeta_subsample"],
         )
@@ -636,7 +643,7 @@ def cmd_simulate(config, out_dir: Path) -> int:
             hyper_grid=grid,
             rng_seed=config["seed"],
             workers=max(1, config["workers"]),
-            n_iterations=config["iterations"] or None,
+            n_iterations=n_iterations,
             reference_coords=reference,
         )
         summary = {"cells": simulation.aggregate_table2(records)}
@@ -710,7 +717,7 @@ def main(argv=None) -> int:
     except (ConfigError, mcmc.ConfigurationError, KernelDomainError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except (molio.MoleculeParseError, CliIOError, OSError) as err:
+    except (molio.MoleculeParseError, analysis.DistanceError, CliIOError, OSError) as err:
         print(f"io error: {err}", file=sys.stderr)
         return 3
     except (SingularGramError, DegenerateFieldError, EmptyFieldError) as err:

@@ -99,33 +99,16 @@ def kernel_value(model: CovarianceModel, distance) -> float | np.ndarray:
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise KernelDomainError("distances must be finite and nonnegative")
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    if model.kind == GAUSSIAN:
-        out = np.exp(-((d / model.rho) ** 2))
-    else:
-        nu = float(model.nu)
-        a = (2.0 * np.sqrt(nu) / model.rho) * d
-        out = np.ones_like(a)
-        pos = a > 0
-        if np.any(pos):
-            ap = a[pos]
-            if abs(nu - 0.5) < _HALF_INT_TOL:
-                out[pos] = np.exp(-ap)
-            else:
-                out[pos] = (
-                    ap**nu
-                    * modified_bessel_k(nu, ap)
-                    / (2.0 ** (nu - 1.0) * math.gamma(nu))
-                )
-    return float(out[0]) if scalar else out.reshape(np.shape(distance))
+    out = kernel_evaluator(model)(np.atleast_1d(d))
+    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
 def kernel_evaluator(model: CovarianceModel):
     """Vectorized sigma(d) evaluator without argument validation.
 
-    Intended for hot loops over cdist outputs, which are finite and
-    nonnegative by construction; semantics match kernel_value.
+    The one kernel implementation: kernel_value validates its distances
+    and calls it, and hot loops over cdist outputs (finite and nonnegative
+    by construction) call it directly.
     """
     rho = model.rho
     if model.kind == GAUSSIAN:
@@ -176,18 +159,10 @@ def gram_matrix(model: CovarianceModel, coords, jitter: float = 0.0) -> np.ndarr
 
 def _closest_pair(coords) -> tuple[int, int, float]:
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
-    k = pts.shape[0]
     d = pdist(pts)
     flat = int(np.argmin(d))
-    # invert the condensed index
-    i = 0
-    offset = flat
-    row_len = k - 1
-    while offset >= row_len:
-        offset -= row_len
-        i += 1
-        row_len -= 1
-    return i, i + 1 + offset, float(d[flat])
+    ii, jj = np.triu_indices(pts.shape[0], 1)  # condensed (pdist) order
+    return int(ii[flat]), int(jj[flat]), float(d[flat])
 
 
 def gram_cholesky(

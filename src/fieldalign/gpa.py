@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceModel, kernel_cross
-from .geometry import MarkedPointSet, RigidTransform, apply_transform
-from .kriging import EmptyFieldError, build_field
+from .geometry import RigidTransform, apply_transform
+from .kriging import EmptyFieldError, PredictedField, build_field
 from .mcmc import (
     AlignmentResult,
     Hyperparameters,
@@ -23,6 +23,7 @@ from .mcmc import (
     run_pairwise_alignment,
     run_reference_alignment,
 )
+from .similarity import partial_carbo
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,28 +84,12 @@ class GpaConfig:
             raise ValueError("tol must be nonnegative")
 
 
-def _normalized_coeff(ps: MarkedPointSet, mask, model: CovarianceModel) -> np.ndarray:
-    f = build_field(ps, mask=mask, model=model)
-    return f.normalized_weights
-
-
-def _pair_inner(
-    sets, transforms, coeffs, active, model: CovarianceModel, i: int, j: int
-) -> float:
-    xi = apply_transform(transforms[i], sets[i].coords[active[i]])
-    xj = apply_transform(transforms[j], sets[j].coords[active[j]])
-    return float(coeffs[i] @ kernel_cross(model, xi, xj) @ coeffs[j])
-
-
-def _prepare(sets, masks, model):
-    active = [np.asarray(m).astype(bool) for m in masks]
-    for a in active:
-        if not a.any():
-            raise EmptyFieldError("every set needs at least one unmasked point")
-    coeffs = [
-        _normalized_coeff(ps, mask, model) for ps, mask in zip(sets, active)
+def _placed_fields(sets, transforms, masks, model: CovarianceModel) -> list[PredictedField]:
+    """Kriged fields of the masked sets, each moved by its transform."""
+    return [
+        build_field(ps, mask=mask, model=model).transformed(t)
+        for ps, t, mask in zip(sets, transforms, masks)
     ]
-    return active, coeffs
 
 
 def multi_carbo(sets, transforms, masks, model: CovarianceModel) -> float:
@@ -113,11 +98,11 @@ def multi_carbo(sets, transforms, masks, model: CovarianceModel) -> float:
     n = len(sets)
     if n < 2:
         raise ValueError("multiple alignment needs at least two sets")
-    active, coeffs = _prepare(sets, masks, model)
+    fields = _placed_fields(sets, transforms, masks, model)
     total = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
-            total += _pair_inner(sets, transforms, coeffs, active, model, i, j)
+            total += partial_carbo(fields[i], fields[j]).similarity
     return total
 
 
@@ -129,11 +114,11 @@ def leave_one_out_similarity(
     n = len(sets)
     if n < 2:
         raise ValueError("multiple alignment needs at least two sets")
-    active, coeffs = _prepare(sets, masks, model)
+    fields = _placed_fields(sets, transforms, masks, model)
     total = 0.0
     for j in range(n):
         if j != i:
-            total += _pair_inner(sets, transforms, coeffs, active, model, i, j)
+            total += partial_carbo(fields[i], fields[j]).similarity
     return total / (n - 1)
 
 
@@ -160,7 +145,7 @@ def group_mean_field(
         if not mask.any():
             raise EmptyFieldError(f"set {j} has an empty mask")
         coords.append(apply_transform(transforms[j], sets[j].coords[mask]))
-        coeffs.append(_normalized_coeff(sets[j], mask, model))
+        coeffs.append(build_field(sets[j], mask=mask, model=model).normalized_weights)
     return MeanField(
         tuple(coords), tuple(coeffs), model, scale=1.0 / len(indices)
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .covariance import CovarianceModel, gram_cholesky, kernel_cross
 from .geometry import MarkedPointSet, RigidTransform, apply_transform
@@ -25,21 +25,32 @@ class DegenerateFieldError(ValueError):
     """The masked field has zero RKHS norm (all effective marks zero)."""
 
 
+# squared RKHS norms at or below this count as zero
+_NORM_SQ_FLOOR = 1e-300
+
+
 def solve_weights(gram_chol_lower: np.ndarray, marks) -> np.ndarray:
     """Solve Sigma w = z given the lower Cholesky factor of Sigma."""
     z = np.asarray(marks, dtype=float)
     return cho_solve((gram_chol_lower, True), z)
 
 
-def kriging_weights(marks, gram: np.ndarray) -> np.ndarray:
-    """Weight vector w = Sigma^{-1} z via an SPD factorization (no explicit
-    inverse); raises on a singular Gram matrix."""
-    g = np.asarray(gram, dtype=float)
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(f"singular Gram matrix: {err}") from None
-    return solve_weights(chol, marks)
+def kriging_solve(
+    model: CovarianceModel,
+    coords,
+    marks,
+    gram: np.ndarray | None = None,
+    jitter: float = 0.0,
+) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """Solve Sigma w = z on the given points (optionally from their
+    precomputed jitter-free Gram matrix): returns the Cholesky factor of
+    Sigma, the jitter it needed, w and the squared RKHS norm w'z."""
+    chol, used = gram_cholesky(model, coords, jitter=jitter, gram=gram)
+    weights = solve_weights(chol, marks)
+    norm_sq = float(weights @ marks)
+    if norm_sq <= _NORM_SQ_FLOOR:
+        raise DegenerateFieldError("masked field has zero RKHS norm")
+    return chol, used, weights, norm_sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +83,6 @@ class PredictedField:
     @property
     def dimension(self) -> int:
         return self.source_coords.shape[1]
-
-    @property
-    def n_active(self) -> int:
-        return int(self.mask.sum())
 
     @property
     def active_coords(self) -> np.ndarray:
@@ -130,23 +137,9 @@ def build_field(
         raise ValueError("mask length must equal the number of points")
     if not mask.any():
         raise EmptyFieldError("all points are masked out")
-    sub_coords = points.coords[mask]
-    sub_marks = points.marks[mask] - mean
-    chol, _ = gram_cholesky(model, sub_coords, jitter=jitter)
-    weights = solve_weights(chol, sub_marks)
-    norm_sq = float(weights @ sub_marks)
-    if norm_sq <= 0.0:
-        raise DegenerateFieldError("masked field has zero RKHS norm")
+    chol, _, weights, norm_sq = kriging_solve(
+        model, points.coords[mask], points.marks[mask] - mean, jitter=jitter
+    )
     return PredictedField(
         points.coords, mask, weights, model, float(np.sqrt(norm_sq)), chol, mean
     )
-
-
-def predict_field(field: PredictedField, x) -> float | np.ndarray:
-    """Evaluate a predicted field at x (point or batch of points)."""
-    return field.predict(x)
-
-
-def half_solve(chol_lower: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Solve L y = vec for the lower factor L (used for norm computations)."""
-    return solve_triangular(chol_lower, vec, lower=True)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
-from .covariance import CovarianceModel, gram_cholesky, kernel_evaluator
+from .covariance import CovarianceModel, kernel_evaluator
 from .geometry import (
     MarkedPointSet,
     RigidTransform,
@@ -43,13 +43,17 @@ from .geometry import (
     rotation_matrix,
     wrap_angles,
 )
-from .kriging import DegenerateFieldError, EmptyFieldError, solve_weights
-from .similarity import CarboScore, dissimilarity_from_similarity
+from .kriging import _NORM_SQ_FLOOR, DegenerateFieldError, EmptyFieldError, kriging_solve
+from .similarity import (
+    CarboScore,
+    combined_carbo,
+    dissimilarity_from_similarity,
+    similarity_from_dissimilarity,
+)
 
 EXPONENTIAL = "exponential"
 HALF_NORMAL = "half_normal"
 
-_NORM_SQ_FLOOR = 1e-300
 # accepted flips of one point set between full refactorizations (bounds the
 # drift of the rank-1 updates)
 _REBUILD_PERIOD = 64
@@ -130,6 +134,9 @@ class Hyperparameters:
             raise ConfigurationError(f"unknown likelihood {self.likelihood_kind!r}")
         if not 0.0 <= self.weight_q <= 1.0:
             raise ConfigurationError("weight_q must lie in [0, 1]")
+        sched = self.annealing_schedule
+        if sched is not None and not min(sched.start, sched.end) > 0.0:
+            raise ConfigurationError("annealing temperatures must be positive")
         if (self.restart_check_iter is None) != (self.restart_threshold is None):
             raise ConfigurationError(
                 "restart_check_iter and restart_threshold go together"
@@ -330,13 +337,6 @@ def gibbs_update_tau(
     return float(rng.gamma(shape, 1.0 / rate))
 
 
-def annealed_target(log_posterior: float, temperature: float) -> float:
-    """Tempered log target log pi^(1/T) = log_posterior / T."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    return log_posterior / temperature
-
-
 @dataclass(slots=True, eq=False)
 class _Kriged:
     """Padded kriging state of one masked point set in one channel.
@@ -412,12 +412,9 @@ def _factor_side(model: CovarianceModel, coords, gram, marks, mask) -> _Kriged:
     raises DegenerateFieldError when the RKHS norm vanishes."""
     act = np.flatnonzero(mask)
     block = np.ix_(act, act)
-    chol, jitter = gram_cholesky(model, coords[act], gram=gram[block])
-    z = marks[act]
-    w_act = solve_weights(chol, z)
-    norm_sq = float(w_act @ z)
-    if norm_sq <= _NORM_SQ_FLOOR:
-        raise DegenerateFieldError("masked field has zero RKHS norm")
+    chol, jitter, w_act, norm_sq = kriging_solve(
+        model, coords[act], marks[act], gram=gram[block]
+    )
     k = mask.shape[0]
     w = np.zeros(k)
     w[act] = w_act
@@ -627,13 +624,11 @@ class PairEngine:
     def _combined(self, sims: list[float]) -> float:
         if len(sims) == 1:
             return dissimilarity_from_similarity(sims[0])
-        wq = self.weight_q
-        total = 0.0
-        if wq > 0.0:
-            total += wq * dissimilarity_from_similarity(sims[0])
-        if wq < 1.0:
-            total += (1.0 - wq) * dissimilarity_from_similarity(sims[1])
-        return total
+        return combined_carbo(
+            dissimilarity_from_similarity(sims[0]),
+            dissimilarity_from_similarity(sims[1]),
+            self.weight_q,
+        )
 
     def _mask_prior_value(self, mask_a, mask_b, total: int) -> float:
         """Log mask prior given the masks and their total unmasked count."""
@@ -970,35 +965,6 @@ class PairEngine:
         }
 
 
-def mh_step_rigid(
-    state: ChainState,
-    engine: PairEngine,
-    rng: np.random.Generator,
-    block: str = "rotation",
-    scale: float = 1.0,
-    temperature: float = 1.0,
-) -> ChainState:
-    """One Metropolis-Hastings rigid-block update starting from `state`."""
-    engine.install_state(state.transform, state.mask_a, state.mask_b, state.tau)
-    engine.temperature = temperature
-    engine.step_rigid(rng, block, scale)
-    return engine.snapshot(state.iteration + 1)
-
-
-def mh_step_mask(
-    state: ChainState,
-    engine: PairEngine,
-    rng: np.random.Generator,
-    which_set: str,
-    temperature: float = 1.0,
-) -> ChainState:
-    """One single-entry mask-flip update starting from `state`."""
-    engine.install_state(state.transform, state.mask_a, state.mask_b, state.tau)
-    engine.temperature = temperature
-    engine.step_mask(rng, which_set)
-    return engine.snapshot(state.iteration + 1)
-
-
 def _trace_columns(m: int) -> tuple[str, ...]:
     names = ["iteration"]
     names += [f"theta_{i + 1}" for i in range(n_euler_angles(m))]
@@ -1051,9 +1017,7 @@ class _RunAccumulators:
             sim = (
                 eng.channels[0].similarity
                 if len(eng.channels) == 1
-                else (1.0 - eng.dissimilarity) / (1.0 + eng.dissimilarity)
-                if np.isfinite(eng.dissimilarity)
-                else -1.0
+                else similarity_from_dissimilarity(eng.dissimilarity)
             )
             row = [float(iteration)]
             row += list(eng.euler)

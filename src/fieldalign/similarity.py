@@ -89,8 +89,8 @@ def partial_carbo(
     return CarboScore.from_inner(inner, field_a.norm, field_b.norm)
 
 
-def combined_carbo(score_q: CarboScore, score_s: CarboScore, weight_q: float) -> float:
-    """Weighted combination of two channel scores on the dissimilarity scale.
+def combined_carbo(dissimilarity_q: float, dissimilarity_s: float, weight_q: float) -> float:
+    """Weighted combination of two channel dissimilarities.
 
     Returns weight_q * D_Q + (1 - weight_q) * D_S; a zero-weight channel is
     skipped entirely so an infinite dissimilarity there cannot leak in.
@@ -99,7 +99,7 @@ def combined_carbo(score_q: CarboScore, score_s: CarboScore, weight_q: float) ->
         raise ValueError("weight_q must lie in [0, 1]")
     total = 0.0
     if weight_q > 0.0:
-        total += weight_q * score_q.dissimilarity
+        total += weight_q * dissimilarity_q
     if weight_q < 1.0:
-        total += (1.0 - weight_q) * score_s.dissimilarity
+        total += (1.0 - weight_q) * dissimilarity_s
     return total

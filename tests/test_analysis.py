@@ -22,9 +22,11 @@ MODEL = CovarianceModel(GAUSSIAN, rho=1.0)
 
 
 def random_distance_matrix(rng, n):
-    pts = rng.normal(size=(n, 3))
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    return d
+    return distance_matrix_of(rng.normal(size=(n, 3)))
+
+
+def distance_matrix_of(pts):
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
 
 
 class TestSymmetrize:
@@ -52,6 +54,25 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(DistanceError):
             DistanceMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DistanceError, match="finite"):
+                DistanceMatrix(np.array([[0.0, bad], [bad, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no label line"),
+            ("a\tb\n0.0\tx\n1.0\t0.0\n", ":2: non-numeric"),
+            ("# c\na\tb\n0.0\t1.0\n1.0\n", ":4: 1 distances for 2 labels"),
+            ("a\tb\n0.0\t1.0\n2.0\t0.0\n", "symmetric"),
+        ],
+    )
+    def test_load_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "d.tsv"
+        path.write_text(text)
+        with pytest.raises(DistanceError, match=message) as err:
+            DistanceMatrix.load(path)
+        assert str(err.value).startswith(str(path))
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -125,6 +146,33 @@ class TestWardCluster:
     def test_single_item_rejected(self):
         with pytest.raises(DistanceError):
             ward_cluster(np.zeros((1, 1)))
+
+    def test_non_finite_rejected(self):
+        d = random_distance_matrix(np.random.default_rng(4), 4)
+        for bad in (np.inf, np.nan):
+            d[1, 2] = d[2, 1] = bad
+            with pytest.raises(DistanceError):
+                ward_cluster(d)
+
+    def test_euclidean_centroid_oracle(self):
+        # on Euclidean points the Ward distance of clusters A and B is
+        # sqrt(2 |A||B| / (|A| + |B|)) times the distance of their centroids
+        rng = np.random.default_rng(5)
+        for n in (3, 5, 8):
+            pts = rng.normal(size=(n, 3))
+            clusters = {i: [i] for i in range(n)}
+            heights = []
+            for step in range(n - 1):
+                def cost(pair):
+                    a, b = (pts[clusters[c]] for c in pair)
+                    gap = np.linalg.norm(a.mean(0) - b.mean(0))
+                    return np.sqrt(2 * len(a) * len(b) / (len(a) + len(b))) * gap
+                ids = sorted(clusters)
+                pair = min(((p, q) for p in ids for q in ids if p < q), key=cost)
+                heights.append(cost(pair))
+                clusters[n + step] = clusters.pop(pair[0]) + clusters.pop(pair[1])
+            got = ward_cluster(distance_matrix_of(pts)).heights
+            assert np.allclose(got, heights, rtol=1e-12, atol=1e-12)
 
 
 class TestGridSpec:

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldalign import mcmc
+from fieldalign import kriging
 from fieldalign.cli import (
+    AUTO,
     CliIOError,
     ConfigError,
+    _pair_hyper,
     _read_molecules,
     build_config,
     load_config_file,
@@ -58,6 +60,34 @@ class TestConfig:
             build_config(
                 "simulate", {}, {"scenario": "sim3d", "zeta_subsample": "maybe"}, None
             )
+
+    def test_auto_and_explicit_values(self):
+        required = {"molecule_a": "a.mol", "molecule_b": "b.mol"}
+        cfg = build_config("align-pair", {}, required, None)
+        assert cfg["burn_in"] == AUTO and cfg["neighbor_delta"] == AUTO
+        hyper = _pair_hyper(cfg, 2)
+        assert hyper.burn_in is None and hyper.effective_burn_in == 2_000
+        assert hyper.neighbor_delta is None
+        cfg = build_config(
+            "align-pair", {}, {**required, "burn_in": "0", "neighbor_delta": "0.5"}, None
+        )
+        assert cfg["burn_in"] == 0 and cfg["neighbor_delta"] == 0.5
+        hyper = _pair_hyper(cfg, 2)
+        assert hyper.burn_in == 0 and hyper.effective_burn_in == 0
+        assert hyper.neighbor_delta == 0.5
+        with pytest.raises(ConfigError):  # only keys that default to auto take it
+            build_config("align-pair", {}, {**required, "thin": "auto"}, None)
+
+    @pytest.mark.parametrize("burn_in", ["0", "auto"])
+    def test_burn_in_runs(self, tmp_path, burn_in):
+        assert run_cli(pair_args(tmp_path, f"burn_in={burn_in}")) == 0
+        payload = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert payload["config"]["burn_in"] == (0 if burn_in == "0" else AUTO)
+
+    def test_simulate_iterations_must_be_positive(self, tmp_path):
+        args = ["simulate", "--profile", "sim3d", "--set", "iterations=0",
+                "--out-dir", tmp_path]
+        assert run_cli(args) == 2
 
     def test_unknown_profile_exit_code(self, tmp_path):
         code = run_cli(["simulate", "--profile", "nope", "--out-dir", tmp_path])
@@ -225,6 +255,23 @@ class TestClusterCommand:
         assert len(merges) == 1 + 5
         assert (out / "dendrogram.newick").read_text().strip().endswith(";")
 
+    def check_bad_file(self, tmp_path, capsys, text):
+        src = tmp_path / "d.tsv"
+        src.write_text(text)
+        code = run_cli(["cluster", "--set", f"distances={src}", "--out-dir", tmp_path / "out"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("io error:") and str(src) in err[0]
+
+    def test_asymmetric_matrix(self, tmp_path, capsys):
+        self.check_bad_file(tmp_path, capsys, "a\tb\n0.0\t1.0\n2.0\t0.0\n")
+
+    def test_non_numeric_cell(self, tmp_path, capsys):
+        self.check_bad_file(tmp_path, capsys, "a\tb\n0.0\tfar\n1.0\t0.0\n")
+
+    def test_empty_file(self, tmp_path, capsys):
+        self.check_bad_file(tmp_path, capsys, "")
+
 
 @pytest.fixture(scope="module")
 def gpa_out(tmp_path_factory):
@@ -388,7 +435,7 @@ class TestErrorExitCodes:
         def singular(*args, **kwargs):
             raise SingularGramError("Gram matrix is singular")
 
-        monkeypatch.setattr(mcmc, "gram_cholesky", singular)
+        monkeypatch.setattr(kriging, "gram_cholesky", singular)
         self.check(capsys, pair_args(tmp_path), 4, "degenerate input:")
 
     def test_zero_marks_give_degenerate_field(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gamma, kv
 
 from fieldalign.covariance import (
     GAUSSIAN,
@@ -103,17 +104,41 @@ class TestKernelValue:
         with pytest.raises(KernelDomainError):
             kernel_value(CovarianceModel(GAUSSIAN, rho=1.0), -0.1)
 
-    def test_evaluator_matches_kernel_value(self):
-        rng = np.random.default_rng(0)
-        d = rng.uniform(0, 4, (6, 6))
-        for model in (
-            CovarianceModel(GAUSSIAN, rho=1.4),
-            CovarianceModel(MATERN, rho=0.9, nu=0.5),
-            CovarianceModel(MATERN, rho=0.9, nu=1.0),
-            CovarianceModel(MATERN, rho=0.9, nu=2.5),
+    def test_evaluator_closed_forms(self):
+        # a = 2 sqrt(nu) d / rho; half-integer orders have elementary forms
+        rho = 0.9
+        d = np.random.default_rng(0).uniform(0, 4, (6, 6))
+        d[0, 0] = 0.0
+        for nu, form in (
+            (0.5, lambda a: np.exp(-a)),
+            (1.5, lambda a: (1.0 + a) * np.exp(-a)),
+            (2.5, lambda a: (1.0 + a + a * a / 3.0) * np.exp(-a)),
         ):
-            fast = kernel_evaluator(model)
-            assert np.allclose(fast(d), kernel_value(model, d), atol=1e-14)
+            a = 2.0 * np.sqrt(nu) * d / rho
+            got = kernel_evaluator(CovarianceModel(MATERN, rho=rho, nu=nu))(d)
+            np.testing.assert_allclose(got, form(a), rtol=1e-13, atol=1e-15)
+        got = kernel_evaluator(CovarianceModel(GAUSSIAN, rho=1.4))(d)
+        np.testing.assert_allclose(got, np.exp(-((d / 1.4) ** 2)), rtol=1e-14, atol=0)
+
+    def test_evaluator_general_order_against_scipy_kv(self):
+        nu, rho = 0.8, 1.3
+        d = np.linspace(0.0, 5.0, 41)
+        a = 2.0 * np.sqrt(nu) * d[1:] / rho
+        expect = np.concatenate(
+            [[1.0], a**nu * kv(nu, a) / (2.0 ** (nu - 1.0) * gamma(nu))]
+        )
+        got = kernel_evaluator(CovarianceModel(MATERN, rho=rho, nu=nu))(d)
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-300)
+        assert got[0] == 1.0
+
+    def test_validated_value_keeps_shape(self):
+        model = CovarianceModel(MATERN, rho=0.9, nu=1.0)
+        assert isinstance(kernel_value(model, 0.3), float)
+        assert kernel_value(model, [[0.0, 0.3]]).shape == (1, 2)
+        with pytest.raises(KernelDomainError):
+            kernel_value(model, [0.1, np.inf])
+        with pytest.raises(KernelDomainError):
+            kernel_value(model, np.nan)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from fieldalign.covariance import GAUSSIAN, MATERN, CovarianceModel
+from fieldalign.covariance import GAUSSIAN, MATERN, CovarianceModel, SingularGramError
 from fieldalign.geometry import MarkedPointSet, RigidTransform, wrap_angles
 from fieldalign.kriging import (
     DegenerateFieldError,
     EmptyFieldError,
     PredictedField,
     build_field,
-    kriging_weights,
-    predict_field,
+    kriging_solve,
 )
 
 MODEL = CovarianceModel(MATERN, rho=0.3, nu=0.5)
@@ -19,23 +18,36 @@ def random_set(rng, k=8, m=2):
     return MarkedPointSet(rng.uniform(0, 1, (k, m)), rng.standard_normal(k))
 
 
+def solve_with_gram(z, gram):
+    """kriging_solve on a given Gram matrix (the coordinates then only
+    size the jitter ladder and name the closest pair)."""
+    coords = np.arange(len(z), dtype=float)[:, None]
+    return kriging_solve(MODEL, coords, np.asarray(z, dtype=float), gram=np.asarray(gram))
+
+
 class TestKrigingWeights:
     def test_identity_gram(self):
         z = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(kriging_weights(z, np.eye(3)), z)
+        chol, jitter, w, norm_sq = solve_with_gram(z, np.eye(3))
+        assert np.allclose(w, z) and jitter == 0.0
+        assert abs(norm_sq - z @ z) < 1e-14
 
     def test_two_by_two_hand_solve(self):
         gram = np.array([[1.0, 0.5], [0.5, 1.0]])
-        w = kriging_weights(np.array([1.0, 1.0]), gram)
+        _, _, w, _ = solve_with_gram([1.0, 1.0], gram)
         assert np.allclose(w, [2.0 / 3.0, 2.0 / 3.0], atol=1e-14)
 
     def test_single_point(self):
-        assert np.allclose(kriging_weights(np.array([5.0]), np.array([[1.0]])), [5.0])
+        _, _, w, norm_sq = solve_with_gram([5.0], [[1.0]])
+        assert np.allclose(w, [5.0]) and norm_sq == 25.0
 
     def test_singular_gram_raises(self):
-        gram = np.ones((2, 2))
-        with pytest.raises(np.linalg.LinAlgError):
-            kriging_weights(np.array([1.0, 1.0]), gram)
+        # indefinite: no rung of the jitter ladder makes it factorizable
+        gram = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularGramError):
+            solve_with_gram([1.0, 1.0], gram)
+        with pytest.raises(DegenerateFieldError):
+            solve_with_gram([0.0, 0.0], np.eye(2))
 
     def test_residual_norm(self):
         rng = np.random.default_rng(0)
@@ -44,9 +56,12 @@ class TestKrigingWeights:
         pts = rng.uniform(0, 1, (15, 3))
         gram = gram_matrix(MODEL, pts)
         z = rng.standard_normal(15)
-        w = kriging_weights(z, gram)
+        chol, _, w, _ = kriging_solve(MODEL, pts, z)
         resid = np.max(np.abs(gram @ w - z))
         assert resid < 1e-8 * np.max(np.abs(z))
+        # a precomputed Gram matrix gives the same solve bit for bit
+        _, _, w_cached, _ = kriging_solve(MODEL, pts, z, gram=gram)
+        assert np.array_equal(w, w_cached)
 
 
 class TestBuildField:
@@ -122,13 +137,13 @@ class TestPrediction:
         val = f.predict(np.array([0.8, 0.0]))
         assert abs(val - 2.0 * np.exp(-1.0)) < 1e-12
 
-    def test_predict_field_wrapper_and_batch(self):
+    def test_predict_batch_matches_single_points(self):
         rng = np.random.default_rng(6)
         ps = random_set(rng)
         f = build_field(ps, model=MODEL)
         pts = rng.uniform(0, 1, (5, 2))
-        batch = predict_field(f, pts)
-        singles = np.array([predict_field(f, p) for p in pts])
+        batch = f.predict(pts)
+        singles = np.array([f.predict(p) for p in pts])
         assert np.allclose(batch, singles, atol=1e-14)
 
     def test_mean_correction_hook(self):

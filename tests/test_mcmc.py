@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,9 @@ from fieldalign.mcmc import (
     InitSpec,
     LinearSchedule,
     PairEngine,
-    annealed_target,
     gibbs_update_tau,
     log_likelihood,
     mask_log_prior,
-    mh_step_mask,
-    mh_step_rigid,
     run_pairwise_alignment,
     run_reference_alignment,
 )
@@ -142,16 +141,32 @@ class TestGibbsTau:
 
 
 class TestAnnealedTarget:
+    """At temperature T the engine samples pi^(1/T): a move that changes the
+    log target by delta is accepted when log(u) < delta / T."""
+
+    @staticmethod
+    def decisions(temperature, delta, n=2_000):
+        set_a, set_b = small_pair()
+        engine = PairEngine.for_pair(set_a, set_b, MODEL, quick_hyper())
+        engine.temperature = temperature
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = [engine._accept(rng, delta) for _ in range(n)]
+        want = [math.log(ref.uniform()) < delta / temperature for _ in range(n)]
+        return got, want
+
     def test_identity_at_one(self):
-        assert annealed_target(-3.7, 1.0) == -3.7
+        got, want = self.decisions(1.0, -0.7)
+        assert got == want
 
     def test_halved_at_two(self):
-        assert abs(annealed_target(-1.0, 2.0) - (-0.5)) < 1e-15
-        assert abs(np.exp(annealed_target(-1.0, 2.0)) - np.exp(-0.5)) < 1e-12
+        got, want = self.decisions(2.0, -1.0)
+        assert got == want
+        assert abs(np.mean(got) - np.exp(-0.5)) < 0.03
 
     def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            annealed_target(0.0, 0.0)
+        for start, end in ((1.0, 0.0), (-1.0, 1.0)):
+            with pytest.raises(ConfigurationError):
+                quick_hyper(annealing_schedule=LinearSchedule(start, end, 10))
 
 
 class TestLinearSchedule:
@@ -182,8 +197,8 @@ class TestMhSteps:
             tau=5.0,
         )
         for block in ("rotation", "translation"):
-            new = mh_step_rigid(state, engine, rng, block=block)
-            assert abs(new.log_posterior - state.log_posterior) < 1e-9
+            assert engine.step_rigid(rng, block)
+            assert abs(engine.snapshot().log_posterior - state.log_posterior) < 1e-9
         assert engine.counters["rotation"][0] == 1  # accepted
 
     def test_flip_to_empty_mask_rejected(self):
@@ -192,11 +207,11 @@ class TestMhSteps:
         hyper = quick_hyper()
         engine = PairEngine.for_pair(set_a, set_b, MODEL, hyper)
         rng = np.random.default_rng(1)
-        state = engine.evaluate(
+        engine.install_state(
             RigidTransform.identity(2), np.ones(1, bool), np.ones(1, bool), tau=2.0
         )
-        new = mh_step_mask(state, engine, rng, "b")
-        assert new.mask_b.any()
+        assert not engine.step_mask(rng, "b")
+        assert engine.snapshot().mask_b.any()
         assert engine.counters["mask_b"] == [0, 1]
 
     def test_uphill_flip_accepted(self):
@@ -208,11 +223,11 @@ class TestMhSteps:
         hyper = quick_hyper(zeta=1e8, alpha=2.0, beta=1.0)
         engine = PairEngine.for_pair(ps, ps, MODEL, hyper)
         mask = np.array([True, False])
-        state = engine.evaluate(RigidTransform.identity(2), mask, mask.copy(), tau=1.0)
+        engine.install_state(RigidTransform.identity(2), mask, mask.copy(), tau=1.0)
         flipped = 0
         for _ in range(20):
-            state = mh_step_mask(state, engine, rng, "a")
-            flipped = max(flipped, state.n_unmasked_a)
+            engine.step_mask(rng, "a")
+            flipped = max(flipped, engine.snapshot().n_unmasked_a)
         assert flipped == 2
 
     def test_state_recomputation_consistency(self):

@@ -171,13 +171,15 @@ def test_frozen_field_flips_match_fresh_solves(p):
 
 def test_long_run_crosses_scheduled_rebuilds(monkeypatch):
     calls = []
-    real = mcmc.gram_cholesky
+    real = mcmc._factor_side
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mcmc, "gram_cholesky", counted)
+    # the engine's factorizations all go through _factor_side (build_field,
+    # which the checks call, shares only kriging_solve with it)
+    monkeypatch.setattr(mcmc, "_factor_side", counted)
     rng = np.random.default_rng(5)
     sets = {side: [MarkedPointSet(spread_coords(rng, 24, 2), rng.standard_normal(24))]
             for side in "ab"}

@@ -11,7 +11,6 @@ from fieldalign.geometry import (
 )
 from fieldalign.kriging import build_field
 from fieldalign.similarity import (
-    CarboScore,
     ModelMismatchError,
     combined_carbo,
     dissimilarity_from_similarity,
@@ -164,29 +163,20 @@ class TestPartialCarbo:
 
 
 class TestCombinedCarbo:
-    def make_score(self, d):
-        return CarboScore.from_dissimilarity(d)
-
     def test_endpoints(self):
-        q = self.make_score(0.2)
-        s = self.make_score(0.4)
-        assert combined_carbo(q, s, 1.0) == 0.2
-        assert combined_carbo(q, s, 0.0) == 0.4
+        assert combined_carbo(0.2, 0.4, 1.0) == 0.2
+        assert combined_carbo(0.2, 0.4, 0.0) == 0.4
 
     def test_midpoint(self):
-        q = self.make_score(0.2)
-        s = self.make_score(0.4)
-        assert abs(combined_carbo(q, s, 0.5) - 0.3) < 1e-15
+        assert abs(combined_carbo(0.2, 0.4, 0.5) - 0.3) < 1e-15
 
     def test_zero_weight_skips_infinite_channel(self):
-        q = self.make_score(np.inf)
-        s = self.make_score(0.1)
-        assert combined_carbo(q, s, 0.0) == 0.1
+        assert combined_carbo(np.inf, 0.1, 0.0) == 0.1
+        assert combined_carbo(0.1, np.inf, 1.0) == 0.1
 
     def test_weight_domain(self):
-        q = self.make_score(0.2)
         with pytest.raises(ValueError):
-            combined_carbo(q, q, 1.5)
+            combined_carbo(0.2, 0.2, 1.5)
 
 
 class TestL2QuadratureOracle:
