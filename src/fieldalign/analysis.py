@@ -21,6 +21,18 @@ def symmetrize_distances(forward: float, backward: float) -> float:
     return float(np.sqrt(forward * backward))
 
 
+def write_matrix(path, labels, values, header_lines=()):
+    """Tab-separated square matrix under a label line, the format that
+    DistanceMatrix.load reads.  Entries may be NaN (align-all's failed
+    pairs), which load rejects."""
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("\t".join(labels) + "\n")
+        for row in values:
+            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+
+
 @dataclass(eq=False)
 class DistanceMatrix:
     """Symmetric nonnegative matrix with zero diagonal."""
@@ -54,12 +66,7 @@ class DistanceMatrix:
         return self.values.shape[0]
 
     def save(self, path, header_lines=()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("\t".join(self.labels) + "\n")
-            for row in self.values:
-                fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+        write_matrix(path, self.labels, self.values, header_lines)
 
     @classmethod
     def load(cls, path, kind: str = "map") -> "DistanceMatrix":

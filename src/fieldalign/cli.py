@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -308,9 +308,8 @@ def _pair_init(config) -> InitSpec:
     )
 
 
-def _align_one_direction(args):
-    """Run one directed alignment; standalone for process pools."""
-    config, mol_a, mol_b, seed = args
+def _align_one_direction(config, mol_a, mol_b, seed):
+    """Run one directed alignment of mol_b onto mol_a."""
     charge_a, steric_a = mol_a
     charge_b, steric_b = mol_b
     if config["principal_axes"]:
@@ -337,12 +336,19 @@ def _align_one_direction(args):
     return result, start_coords, sets_a[0].coords
 
 
-def _effective_config(config: dict) -> dict:
-    return {k: config[k] for k in sorted(config)}
+def _align_with_retries(job):
+    """Align one directed pair, re-running the chain from the job's next seed
+    while it fails; standalone for process pools."""
+    config, mol_a, mol_b, seeds = job
+    for seed in seeds:
+        result = _align_one_direction(config, mol_a, mol_b, seed)[0]
+        if not result.failed:
+            break
+    return result
 
 
 def _artifact_comments(config: dict) -> list[str]:
-    lines = [f"config: {json.dumps(_effective_config(config), sort_keys=True)}"]
+    lines = [f"config: {json.dumps(config, sort_keys=True)}"]
     if "seed" in config:
         lines.append(f"seed: {config['seed']}")
     return lines
@@ -385,26 +391,21 @@ def _read_molecules(spec: str) -> list[tuple[str, tuple]]:
 def cmd_align_pair(config, out_dir: Path) -> int:
     mol_a = molio.parse_molecule_file(config["molecule_a"])
     mol_b = molio.parse_molecule_file(config["molecule_b"])
-    result, start_b, coords_a = _align_one_direction(
-        (config, mol_a, mol_b, config["seed"])
-    )
-    embed = {"config": _effective_config(config), "seed": config["seed"]}
+    result, start_b, coords_a = _align_one_direction(config, mol_a, mol_b, config["seed"])
+    embed = {"config": config, "seed": config["seed"]}
     comments = _artifact_comments(config)
-    mcmc.write_result(out_dir / "result.json", result, extra=embed)
+    _write_json(out_dir / "result.json", {**embed, **mcmc.result_to_dict(result)})
     mcmc.write_trace(out_dir / "trace.csv", result, header_lines=comments)
     mapped = result.map_state.transform.apply(start_b)
     with open(out_dir / "scatter.csv", "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("set,stage,x,y,z\n")
-        for row in coords_a:
-            fh.write("A,start," + ",".join(repr(float(v)) for v in row) + "\n")
-        for row in coords_a:
-            fh.write("A,map," + ",".join(repr(float(v)) for v in row) + "\n")
-        for row in start_b:
-            fh.write("B,start," + ",".join(repr(float(v)) for v in row) + "\n")
-        for row in mapped:
-            fh.write("B,map," + ",".join(repr(float(v)) for v in row) + "\n")
+        stages = (("A,start", coords_a), ("A,map", coords_a), ("B,start", start_b),
+                  ("B,map", mapped))
+        for label, rows in stages:
+            for row in rows:
+                fh.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
     return 1 if result.failed else 0
 
 
@@ -415,69 +416,37 @@ def cmd_align_all(config, out_dir: Path) -> int:
     if n < 2:
         raise ConfigError("align-all needs at least two molecules")
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    root = np.random.SeedSequence(config["seed"])
-    seeds = root.spawn(len(pairs) * (1 + config["retry_budget"]))
+    # pair idx runs from seeds[idx], then retries from its own budget slice
+    n_pairs, budget = len(pairs), config["retry_budget"]
+    if budget < 0:
+        raise ConfigError("retry_budget must be nonnegative")
+    seeds = np.random.SeedSequence(config["seed"]).spawn(n_pairs * (1 + budget))
     jobs = [
-        (config, molecules[i][1], molecules[j][1], seeds[idx])
+        (config, molecules[i][1], molecules[j][1],
+         [seeds[idx], *seeds[n_pairs + idx * budget : n_pairs + (idx + 1) * budget]])
         for idx, (i, j) in enumerate(pairs)
     ]
-    workers = max(1, config["workers"])
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_align_one_direction, jobs, chunksize=1))
-    else:
-        outcomes = [_align_one_direction(job) for job in jobs]
-    retry_base = len(pairs)
-    failed_pairs = []
-    directed_map = {}
-    directed_mean = {}
-    for idx, (pair, (result, _sb, _ca)) in enumerate(zip(pairs, outcomes)):
-        attempt = 0
-        while result.failed and attempt < config["retry_budget"]:
-            attempt += 1
-            seed = seeds[retry_base + idx * config["retry_budget"] + attempt - 1]
-            result, _sb, _ca = _align_one_direction(
-                (config, molecules[pair[0]][1], molecules[pair[1]][1], seed)
-            )
-        if result.failed:
-            failed_pairs.append(pair)
-            continue
-        directed_map[pair] = result.plug_in_distance
-        directed_mean[pair] = result.plug_in_distance_mean
-    def build_matrix(directed):
-        mat = np.zeros((n, n))
-        missing = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) in directed and (j, i) in directed:
-                    mat[i, j] = mat[j, i] = analysis.symmetrize_distances(
-                        directed[(i, j)], directed[(j, i)]
-                    )
-                else:
-                    missing.append((i, j))
-                    mat[i, j] = mat[j, i] = np.nan
-        return mat, missing
-
-    mat_map, missing = build_matrix(directed_map)
-    mat_mean, _ = build_matrix(directed_mean)
-    embed = {"config": _effective_config(config), "seed": config["seed"],
+    outcomes = simulation._execute(_align_with_retries, jobs, max(1, config["workers"]))
+    results = dict(zip(pairs, outcomes))
+    failed_pairs = [pair for pair in pairs if results[pair].failed]
+    embed = {"config": config, "seed": config["seed"],
              "molecules": names,
              "failed_pairs": [[names[i], names[j]] for i, j in failed_pairs]}
     _write_json(out_dir / "align_all.json", embed)
     comments = _artifact_comments(config)
-    for kind, mat in (("map", mat_map), ("mean", mat_mean)):
-        if np.isfinite(mat).all():
-            analysis.DistanceMatrix(mat, kind=kind, labels=names).save(
-                out_dir / f"d{kind}.tsv", header_lines=comments
+    for kind, attr in (("map", "plug_in_distance"), ("mean", "plug_in_distance_mean")):
+        mat = np.zeros((n, n))
+        for i, j in itertools.combinations(range(n), 2):
+            forward, backward = results[(i, j)], results[(j, i)]
+            mat[i, j] = mat[j, i] = (
+                np.nan
+                if forward.failed or backward.failed
+                else analysis.symmetrize_distances(
+                    getattr(forward, attr), getattr(backward, attr)
+                )
             )
-        else:
-            with open(out_dir / f"d{kind}.tsv", "w") as fh:
-                for line in comments:
-                    fh.write(f"# {line}\n")
-                fh.write("\t".join(names) + "\n")
-                for row in mat:
-                    fh.write("\t".join(repr(float(x)) for x in row) + "\n")
-    return 1 if missing else 0
+        analysis.write_matrix(out_dir / f"d{kind}.tsv", names, mat, comments)
+    return 1 if failed_pairs else 0
 
 
 @_config_values
@@ -522,7 +491,7 @@ def cmd_gpa(config, out_dir: Path) -> int:
     model, gpa_config = _gpa_config_to_objects(config)
     state, results = gpa.run_field_gpa(sets, model, gpa_config, config["seed"])
     payload = {
-        "config": _effective_config(config),
+        "config": config,
         "seed": config["seed"],
         "molecules": names,
         "transforms": [mcmc._transform_dict(t) for t in state.transforms],
@@ -595,7 +564,7 @@ def cmd_tfield(config, out_dir: Path) -> int:
     _write_json(
         out_dir / "tfield.json",
         {
-            "config": _effective_config(config),
+            "config": config,
             "grid": {
                 "origin": list(grid.origin),
                 "spacing": grid.spacing,
@@ -655,7 +624,7 @@ def cmd_simulate(config, out_dir: Path) -> int:
     _write_json(
         out_dir / "summary.json",
         {
-            "config": _effective_config(config),
+            "config": config,
             "seed": config["seed"],
             "summary": summary,
         },
@@ -685,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", help="named default profile")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out-dir", default=".", help="artifact output directory")
-        p.add_argument("--workers", type=int, help="worker pool size override")
+        if "workers" in _SCHEMAS[name]:
+            p.add_argument("--workers", type=int, help="worker pool size override")
         p.add_argument(
             "--set",
             action="append",
@@ -708,7 +678,7 @@ def main(argv=None) -> int:
             overrides[key.strip()] = value.strip()
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
-        if args.workers is not None and "workers" in _SCHEMAS[args.subcommand]:
+        if getattr(args, "workers", None) is not None:
             overrides["workers"] = str(args.workers)
         config = build_config(args.subcommand, file_values, overrides, args.profile)
         out_dir = Path(args.out_dir)

@@ -53,44 +53,16 @@ class CovarianceModel:
     def with_rho(self, rho: float) -> "CovarianceModel":
         return replace(self, rho=float(rho))
 
-    def same_family(self, other: "CovarianceModel") -> bool:
-        return (
-            self.kind == other.kind
-            and self.rho == other.rho
-            and (self.nu == other.nu)
-        )
-
-
-def _is_half_integer(nu: float) -> bool:
-    return abs(nu * 2.0 - round(nu * 2.0)) < 2 * _HALF_INT_TOL and round(nu * 2.0) % 2 == 1
-
-
-def _besselk_half_integer(n: int, x: np.ndarray) -> np.ndarray:
-    """K_{n + 1/2}(x) via the closed-form finite sum, n >= 0."""
-    acc = np.zeros_like(x)
-    for k in range(n + 1):
-        coeff = math.factorial(n + k) / (
-            math.factorial(k) * math.factorial(n - k)
-        )
-        acc += coeff * (2.0 * x) ** (-k)
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
-
 
 def modified_bessel_k(nu: float, x) -> float | np.ndarray:
-    """Modified Bessel function of the third kind K_nu(x), x > 0.
-
-    Half-integer orders (within 1e-12) use the exact closed forms; other
-    orders fall back to scipy's general routine.
-    """
+    """Modified Bessel function of the third kind K_nu(x), x > 0, by scipy's
+    `kv` (Amos's algorithm)."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise KernelDomainError("modified_bessel_k needs x > 0")
     if nu <= 0:
         raise KernelDomainError("modified_bessel_k needs nu > 0")
-    if _is_half_integer(nu):
-        out = _besselk_half_integer(int(round(nu - 0.5)), np.atleast_1d(arr))
-    else:
-        out = kv(nu, np.atleast_1d(arr))
+    out = kv(nu, np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceModel, kernel_cross
+from .covariance import CovarianceModel
 from .geometry import RigidTransform, apply_transform
-from .kriging import EmptyFieldError, PredictedField, build_field
+from .kriging import EmptyFieldError, PredictedField, build_field, kernel_sum
 from .mcmc import (
     AlignmentResult,
     Hyperparameters,
@@ -47,12 +47,7 @@ class MeanField:
         return coords, coeffs
 
     def evaluate(self, x) -> float | np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        coords, coeffs = self.stacked()
-        out = kernel_cross(self.model, pts, coords) @ coeffs
-        return float(out[0]) if single else out
+        return kernel_sum(self.model, *self.stacked(), x)
 
 
 @dataclass(eq=False)

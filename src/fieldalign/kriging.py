@@ -53,6 +53,14 @@ def kriging_solve(
     return chol, used, weights, norm_sq
 
 
+def kernel_sum(model: CovarianceModel, centers, coeffs, x) -> float | np.ndarray:
+    """sum_l coeffs_l sigma(||centers_l - x||) at one point (m,) or at each
+    row of a batch (n, m): the evaluator of kriged and mean fields."""
+    pts = np.asarray(x, dtype=float)
+    out = kernel_cross(model, np.atleast_2d(pts), centers) @ coeffs
+    return float(out[0]) if pts.ndim == 1 else out
+
+
 @dataclass(frozen=True, eq=False)
 class PredictedField:
     """Kriged (masked) prediction of the reference field from one point set.
@@ -94,12 +102,7 @@ class PredictedField:
 
     def predict(self, x) -> float | np.ndarray:
         """Evaluate the field at one point (m,) or a batch (n, m)."""
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = kernel_cross(self.model, pts, self.active_coords) @ self.weights
-        out = out + self.mean
-        return float(out[0]) if single else out
+        return kernel_sum(self.model, self.active_coords, self.weights, x) + self.mean
 
     def transformed(self, transform: RigidTransform) -> "PredictedField":
         """Same field with rigidly moved sources; weights and norm carry over

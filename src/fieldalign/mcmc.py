@@ -24,7 +24,6 @@ rounding drift) and for a flip whose pivot is not safely positive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -114,7 +113,6 @@ class Hyperparameters:
     range_schedule: LinearSchedule | None = None
     weight_schedule: LinearSchedule | None = None
     weight_q: float = 0.5
-    update_rigid: bool = True
     update_masks: bool = True
     update_tau: bool = True
     tau_init: float | None = None
@@ -1090,9 +1088,8 @@ def _run_chain(
             scale = 1.0
             if hyper.escape_period and i % hyper.escape_period == 0:
                 scale = hyper.escape_scale
-            if hyper.update_rigid:
-                engine.step_rigid(rng, "rotation", scale)
-                engine.step_rigid(rng, "translation", scale)
+            engine.step_rigid(rng, "rotation", scale)
+            engine.step_rigid(rng, "translation", scale)
             if hyper.update_tau:
                 engine.step_tau(rng)
             if hyper.update_masks:
@@ -1131,10 +1128,6 @@ def _run_chain(
         plug_in_mean = mean_state.carbo.dissimilarity
     except (DegenerateFieldError, EmptyFieldError):
         plug_in_mean = np.inf
-    # leave the engine installed at the MAP so callers can inspect it
-    engine.install_state(
-        map_state.transform, map_state.mask_a, map_state.mask_b, map_state.tau
-    )
     traces = np.array(acc.rows, dtype=float)
     return AlignmentResult(
         map_state=map_state,
@@ -1259,10 +1252,3 @@ def result_to_dict(result: AlignmentResult) -> dict:
         "n_iterations": int(result.n_iterations),
     }
 
-
-def write_result(path, result: AlignmentResult, extra: dict | None = None):
-    payload = dict(extra or {})
-    payload.update(result_to_dict(result))
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -67,7 +67,7 @@ def rkhs_inner(
     Evaluates the double sum over unmasked pairs of
     w_i^A w_j^B sigma(||x_i^A - Phi(x_j^B)||); no numerical integration.
     """
-    if not field_a.model.same_family(field_b.model):
+    if field_a.model != field_b.model:
         raise ModelMismatchError(
             f"kernel models differ: {field_a.model} vs {field_b.model}"
         )

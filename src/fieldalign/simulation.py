@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .covariance import MATERN, CovarianceModel, gram_cholesky
 from .geometry import (
@@ -154,14 +155,12 @@ class Sim3DPair:
 
 
 def _neighborhood_union(node_indices, kappa: int, n: int = GRID_N) -> np.ndarray:
-    """Union of clipped (2 kappa + 1)^2 index boxes around grid nodes."""
-    hits = set()
-    for idx in node_indices:
-        i, j = divmod(int(idx), n)
-        for ii in range(max(0, i - kappa), min(n - 1, i + kappa) + 1):
-            for jj in range(max(0, j - kappa), min(n - 1, j + kappa) + 1):
-                hits.add(ii * n + jj)
-    return np.array(sorted(hits), dtype=int)
+    """Sorted flat indices of the union of clipped (2 kappa + 1)^2 boxes
+    around grid nodes: a binary dilation of the nodes on the n x n grid."""
+    seed_grid = np.zeros(n * n, dtype=bool)
+    seed_grid[np.asarray(node_indices, dtype=int)] = True
+    box = np.ones((2 * kappa + 1, 2 * kappa + 1), dtype=bool)
+    return np.flatnonzero(ndimage.binary_dilation(seed_grid.reshape(n, n), structure=box))
 
 
 def generate_pair_2d(
@@ -395,13 +394,14 @@ def _run_3d_case(spec: dict) -> dict:
     }
 
 
-def _execute(fn, specs: list[dict], workers: int) -> list[dict]:
+def _execute(fn, specs: list, workers: int) -> list:
+    """[fn(spec) for spec in specs], fanned out over a process pool of
+    `workers` when there is more than one; each spec carries its own seeds,
+    so the results do not depend on `workers`."""
     if workers <= 1 or len(specs) <= 1:
         return [fn(s) for s in specs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, specs, chunksize=1))
-
-
 
 
 def run_success_study(

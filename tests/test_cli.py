@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldalign import kriging
+from fieldalign import kriging, mcmc
 from fieldalign.cli import (
     AUTO,
     CliIOError,
@@ -369,6 +369,63 @@ class TestAlignAllCommand:
         payload = json.loads((out / "align_all.json").read_text())
         assert payload["failed_pairs"] == []
 
+    def run_failing(self, out, workers):
+        """Every chain fails its restart check, so each of the six directed
+        pairs runs its first chain and both retries."""
+        return run_cli(
+            [
+                "align-all",
+                "--set", f"molecules={DATA}",
+                "--set", "iterations=100",
+                "--set", "weight_initial_iters=20",
+                "--set", "restart_check=50",
+                "--set", "restart_threshold=0.0001",
+                "--set", "max_restarts=0",
+                "--set", "retry_budget=2",
+                "--workers", workers,
+                "--seed", "8",
+                "--out-dir", out,
+            ]
+        )
+
+    def test_retries_run_in_the_pool_and_do_not_depend_on_workers(
+        self, tmp_path, monkeypatch
+    ):
+        run_chain, calls = mcmc._run_chain, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_chain(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "_run_chain", counted)
+        assert self.run_failing(tmp_path / "w1", 1) == 1
+        assert len(calls) == 6 * 3
+        payload = json.loads((tmp_path / "w1" / "align_all.json").read_text())
+        assert len(payload["failed_pairs"]) == 6
+        assert {tuple(p) for p in payload["failed_pairs"]} == {
+            (a, b) for a in ("mol_a", "mol_b", "mol_c")
+            for b in ("mol_a", "mol_b", "mol_c") if a != b
+        }
+        assert self.run_failing(tmp_path / "w2", 2) == 1
+        for kind in ("map", "mean"):
+            rows = [
+                [l for l in (tmp_path / w / f"d{kind}.tsv").read_text().splitlines()
+                 if not l.startswith("#")]
+                for w in ("w1", "w2")
+            ]
+            assert rows[0] == rows[1]
+            mat = np.array([[float(v) for v in line.split("\t")] for line in rows[0][1:]])
+            assert np.all(np.diag(mat) == 0.0)
+            assert np.all(np.isnan(mat[~np.eye(3, dtype=bool)]))
+
+
+@pytest.mark.parametrize("subcommand", ["align-pair", "gpa", "cluster", "tfield"])
+def test_workers_flag_only_where_it_applies(subcommand, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--workers", "4"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
 
 def write_molecule(path, coords, charges):
     lines = [
@@ -425,6 +482,11 @@ class TestErrorExitCodes:
         self.check(
             capsys, pair_args(tmp_path, "kernel=matern", "nu=-1"), 2, "configuration error:"
         )
+
+    def test_negative_retry_budget(self, tmp_path, capsys):
+        args = ["align-all", "--set", f"molecules={DATA}", "--set", "retry_budget=-1",
+                "--out-dir", tmp_path]
+        self.check(capsys, args, 2, "configuration error:")
 
     def test_kernel_domain_error(self, tmp_path, capsys):
         # the atoms are 2e308 apart: the distance overflows to inf

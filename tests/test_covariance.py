@@ -31,10 +31,12 @@ class TestModifiedBesselK:
             assert abs(modified_bessel_k(0.5, x) - expect) < 1e-14
 
     def test_three_halves_recurrence(self):
-        # K_{3/2}(x) = sqrt(pi/(2x)) e^{-x} (1 + 1/x)
-        for x in (0.5, 2.0, 5.0):
-            expect = np.sqrt(np.pi / (2 * x)) * np.exp(-x) * (1 + 1 / x)
-            assert abs(modified_bessel_k(1.5, x) - expect) < 1e-13
+        # K_{3/2}(x) = sqrt(pi/(2x)) e^{-x} (1 + 1/x),
+        # K_{5/2}(x) = sqrt(pi/(2x)) e^{-x} (1 + 3/x + 3/x^2)
+        for nu, poly in ((1.5, lambda x: 1 + 1 / x), (2.5, lambda x: 1 + 3 / x + 3 / x**2)):
+            for x in (0.5, 2.0, 5.0):
+                expect = np.sqrt(np.pi / (2 * x)) * np.exp(-x) * poly(x)
+                assert abs(modified_bessel_k(nu, x) - expect) < 1e-13
 
     def test_integer_order_table_value(self):
         assert abs(modified_bessel_k(1.0, 2.0) - K_ONE_AT_2) < 1e-10

@@ -95,6 +95,27 @@ class TestGeneratePair2D:
         assert len(cont) == 6
         assert np.all(np.abs(cont) <= 7.0)
 
+    @pytest.mark.parametrize("kappa", [0, 1, 4])
+    def test_neighborhood_union_matches_box_loop(self, kappa):
+        from fieldalign.simulation import GRID_N, _neighborhood_union
+
+        def box_loop(node_indices, n=GRID_N):
+            hits = set()
+            for idx in node_indices:
+                i, j = divmod(int(idx), n)
+                for ii in range(max(0, i - kappa), min(n - 1, i + kappa) + 1):
+                    for jj in range(max(0, j - kappa), min(n - 1, j + kappa) + 1):
+                        hits.add(ii * n + jj)
+            return np.array(sorted(hits), dtype=int)
+
+        last = GRID_N - 1
+        corners = [0, last, last * GRID_N, GRID_N * GRID_N - 1]
+        edges = [7, 3 * GRID_N, 5 * GRID_N + last, last * GRID_N + 20]
+        rng = np.random.default_rng(kappa)
+        for nodes in ([0], corners, edges, corners + edges + [15 * GRID_N + 15],
+                      rng.choice(GRID_N * GRID_N, 60, replace=False)):
+            np.testing.assert_array_equal(_neighborhood_union(nodes, kappa), box_loop(nodes))
+
     def test_kappa_one_box_counts(self):
         # an interior grid node has a full 3x3 neighborhood under kappa = 1
         from fieldalign.simulation import _neighborhood_union
