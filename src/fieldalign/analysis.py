@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial.distance import squareform
 
 
@@ -306,6 +305,8 @@ def threshold_regions(tfield: TFieldGrid, threshold: float) -> list[ThresholdReg
     by sign, largest first."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    from scipy import ndimage  # not at module level, as in ward_cluster
+
     ndim = tfield.t.ndim
     structure = ndimage.generate_binary_structure(ndim, 1)
     regions = []

@@ -582,8 +582,10 @@ def cmd_simulate(config, out_dir: Path) -> int:
     n_iterations = _auto_none(config["iterations"])
     if n_iterations is not None and n_iterations < 1:
         raise ConfigError("iterations must be positive or auto")
+    if config["replications"] < 1 or config["n_fields"] < 1:
+        raise ConfigError("replications and n_fields must be positive")
     if scenario in ("setting1", "setting2"):
-        zetas = [float(z) for z in config["zetas"].split(",") if z]
+        zetas = [_parse_value(z, float) for z in config["zetas"].split(",") if z]
         records = simulation.run_success_study(
             scenario,
             replications=config["replications"],
@@ -598,10 +600,9 @@ def cmd_simulate(config, out_dir: Path) -> int:
     elif scenario == "sim3d":
         grid = []
         for cell in config["beta_zeta"].split(","):
-            if not cell:
-                continue
-            beta, _, zeta = cell.partition(":")
-            grid.append((float(beta), float(zeta)))
+            if cell:
+                beta, _, zeta = cell.partition(":")
+                grid.append((_parse_value(beta, float), _parse_value(zeta, float)))
         reference = None
         if config["reference"]:
             _charge, steric = molio.parse_molecule_file(config["reference"])
@@ -618,6 +619,8 @@ def cmd_simulate(config, out_dir: Path) -> int:
         summary = {"cells": simulation.aggregate_table2(records)}
     else:
         raise ConfigError(f"unknown scenario {scenario!r}")
+    if not records:
+        raise ConfigError("the zeta grid (zetas or beta_zeta) is empty")
     simulation.write_records(
         out_dir / "records.tsv", records, header_lines=_artifact_comments(config)
     )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import kv
 
 MATERN = "matern"
@@ -80,7 +80,8 @@ def kernel_evaluator(model: CovarianceModel):
 
     The one kernel implementation: kernel_value validates its distances
     and calls it, and hot loops over cdist outputs (finite and nonnegative
-    by construction) call it directly.
+    by construction) call it directly.  It evaluates elementwise, except that
+    the general Matern calls K_nu once per distinct positive distance.
     """
     rho = model.rho
     if model.kind == GAUSSIAN:
@@ -106,8 +107,8 @@ def kernel_evaluator(model: CovarianceModel):
         out = np.ones_like(a)
         pos = a > 0
         if np.any(pos):
-            ap = a[pos]
-            out[pos] = ap**nu * modified_bessel_k(nu, ap) / denom
+            ap, inverse = np.unique(a[pos], return_inverse=True)
+            out[pos] = (ap**nu * modified_bessel_k(nu, ap) / denom)[inverse]
         return out
 
     return general
@@ -119,11 +120,13 @@ def kernel_cross(model: CovarianceModel, coords_a, coords_b) -> np.ndarray:
 
 
 def gram_matrix(model: CovarianceModel, coords, jitter: float = 0.0) -> np.ndarray:
-    """Gram matrix Sigma_ij = sigma(||x_i - x_j||) + jitter * [i = j]."""
+    """Gram matrix Sigma_ij = sigma(||x_i - x_j||) + jitter * [i = j]; sigma
+    is evaluated once per pair i < j, on pdist(coords), and sigma(0) = 1."""
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
-    g = kernel_value(model, cdist(pts, pts))
+    g = squareform(kernel_value(model, pdist(pts)), checks=False)
+    np.fill_diagonal(g, 1.0)
     if jitter:
         g = g + jitter * np.eye(pts.shape[0])
     return g

@@ -538,6 +538,7 @@ class PairEngine:
         self._dist = {"b": cdist(self.coords_b, self.coords_b)}
         if not field_mode:
             self._dist["a"] = cdist(self.coords_a, self.coords_a)
+        self._dcross = None  # A to moved B distances, shared by the channels
         for ch in channels:
             ch.set_model(ch.base_model, self._dist)
         self._flips = {"a": 0, "b": 0}
@@ -590,9 +591,8 @@ class PairEngine:
 
     # -- internal recomputation ------------------------------------------
 
-    def _cross(self, channel: _Channel, gmat: np.ndarray, translation: np.ndarray) -> np.ndarray:
-        moved = self.coords_b @ gmat.T + translation
-        return channel.kernel_fn(cdist(self.coords_a, moved))
+    def _cross_dists(self, gmat: np.ndarray, translation: np.ndarray) -> np.ndarray:
+        return cdist(self.coords_a, self.coords_b @ gmat.T + translation)
 
     def _similarity(self, coeff: np.ndarray, proj: np.ndarray):
         # Carbo inner product of padded coefficients with a cached cross
@@ -600,24 +600,26 @@ class PairEngine:
         inner = float(coeff @ proj)
         return inner, min(max(inner, -1.0), 1.0)
 
-    def _rebuild(self, ch: _Channel, sides=("a", "b")):
-        """Refactorize the named sides of one channel from its cached Gram
-        matrices, then recompute its cross kernel and Carbo terms."""
-        for side, coords, mask in (
-            ("a", self.coords_a, self.mask_a),
-            ("b", self.coords_b, self.mask_b),
-        ):
-            if side in sides and mask is not None:
-                kriged = _factor_side(
-                    ch.model, coords, ch.gram[side], ch.marks[side], mask
-                )
-                ch.kriged[side] = kriged
-                ch.coeff[side] = kriged.w / kriged.norm
-                self._flips[side] = 0
-        ch.kcross = self._cross(ch, self.gmat, self.translation)
-        ch.proj["a"] = ch.kcross @ ch.coeff["b"]
-        ch.proj["b"] = ch.coeff["a"] @ ch.kcross
-        ch.inner, ch.similarity = self._similarity(ch.coeff["a"], ch.proj["a"])
+    def _rebuild(self, sides=("a", "b")):
+        """Refactorize the named sides of every channel from its cached Gram
+        matrices, then recompute its cross kernel, from the cached cross
+        distances, and its Carbo terms."""
+        for ch in self.channels:
+            for side, coords, mask in (
+                ("a", self.coords_a, self.mask_a),
+                ("b", self.coords_b, self.mask_b),
+            ):
+                if side in sides and mask is not None:
+                    kriged = _factor_side(
+                        ch.model, coords, ch.gram[side], ch.marks[side], mask
+                    )
+                    ch.kriged[side] = kriged
+                    ch.coeff[side] = kriged.w / kriged.norm
+                    self._flips[side] = 0
+            ch.kcross = ch.kernel_fn(self._dcross)
+            ch.proj["a"] = ch.kcross @ ch.coeff["b"]
+            ch.proj["b"] = ch.coeff["a"] @ ch.kcross
+            ch.inner, ch.similarity = self._similarity(ch.coeff["a"], ch.proj["a"])
 
     def _combined(self, sims: list[float]) -> float:
         if len(sims) == 1:
@@ -677,8 +679,8 @@ class PairEngine:
         self.mask_b = np.array(mask_b, dtype=bool)
         if not self.mask_b.any():
             raise EmptyFieldError("mask of set B is empty")
-        for ch in self.channels:
-            self._rebuild(ch)
+        self._dcross = self._cross_dists(self.gmat, self.translation)
+        self._rebuild()
         self._n_on = {
             "a": 0 if self.mask_a is None else int(self.mask_a.sum()),
             "b": int(self.mask_b.sum()),
@@ -712,7 +714,7 @@ class PairEngine:
         self.rho_current = rho
         for ch in self.channels:
             ch.set_model(ch.base_model.with_rho(rho), self._dist)
-            self._rebuild(ch)
+        self._rebuild()
         self._refresh_scalars()
 
     def prepare_attempt(self):
@@ -739,8 +741,8 @@ class PairEngine:
         self.translation = np.array(transform.translation, dtype=float)
         self.gmat = transform.matrix
         self.lp_euler = euler_prior_log_density(self.euler)
-        for ch in self.channels:
-            self._rebuild(ch, sides=())
+        self._dcross = self._cross_dists(self.gmat, self.translation)
+        self._rebuild(sides=())
         self._refresh_scalars()
 
     def begin_iteration(self, iteration: int):
@@ -794,11 +796,12 @@ class PairEngine:
             gmat_new = self.gmat
         else:
             raise ValueError(f"unknown rigid block {block!r}")
+        dcross_new = self._cross_dists(gmat_new, translation_new)
         cross_new = []
         sims_new = []
         inners_new = []
         for ch in self.channels:
-            k = self._cross(ch, gmat_new, translation_new)
+            k = ch.kernel_fn(dcross_new)
             proj_a = k @ ch.coeff["b"]
             inner, sim = self._similarity(ch.coeff["a"], proj_a)
             cross_new.append((k, proj_a))
@@ -815,6 +818,7 @@ class PairEngine:
             self.translation = np.asarray(translation_new, dtype=float)
             self.gmat = gmat_new
             self.lp_euler = lp_euler_new
+            self._dcross = dcross_new
             for ch, (k, proj_a), inner, sim in zip(
                 self.channels, cross_new, inners_new, sims_new
             ):
@@ -916,8 +920,7 @@ class PairEngine:
             self._n_on[side] = n_on
             self._flips[side] += 1
             if self._flips[side] >= _REBUILD_PERIOD:
-                for ch in self.channels:
-                    self._rebuild(ch, sides=(side,))
+                self._rebuild(sides=(side,))
                 self._refresh_scalars()
         self._count(block, accepted)
         return accepted

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .covariance import MATERN, CovarianceModel, gram_cholesky
 from .geometry import (
@@ -156,11 +156,11 @@ class Sim3DPair:
 
 def _neighborhood_union(node_indices, kappa: int, n: int = GRID_N) -> np.ndarray:
     """Sorted flat indices of the union of clipped (2 kappa + 1)^2 boxes
-    around grid nodes: a binary dilation of the nodes on the n x n grid."""
-    seed_grid = np.zeros(n * n, dtype=bool)
-    seed_grid[np.asarray(node_indices, dtype=int)] = True
-    box = np.ones((2 * kappa + 1, 2 * kappa + 1), dtype=bool)
-    return np.flatnonzero(ndimage.binary_dilation(seed_grid.reshape(n, n), structure=box))
+    around grid nodes: those whose box on the zero-padded grid holds a node."""
+    seed_grid = np.zeros((n, n), dtype=bool)
+    seed_grid.flat[np.asarray(node_indices, dtype=int)] = True
+    boxes = sliding_window_view(np.pad(seed_grid, kappa), (2 * kappa + 1,) * 2)
+    return np.flatnonzero(boxes.any(axis=(2, 3)))
 
 
 def generate_pair_2d(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +513,34 @@ class TestErrorExitCodes:
     def test_all_masked_group_gives_empty_field(self, tmp_path, capsys):
         write_molecule(tmp_path / "big.mol", np.eye(3), [0.1, 0.2, 0.3])
         self.check(capsys, tfield_args(tmp_path, [0, 0, 0]), 4, "degenerate input:")
+
+    def simulate(self, tmp_path, capsys, profile, setting):
+        args = ["simulate", "--profile", profile, "--set", setting, "--out-dir", tmp_path]
+        self.check(capsys, args, 2, "configuration error:")
+        assert not (tmp_path / "records.tsv").exists()
+
+    def test_simulate_zetas_not_numbers(self, tmp_path, capsys):
+        self.simulate(tmp_path, capsys, "sim2d-setting1", "zetas=abc")
+
+    def test_simulate_beta_zeta_cell_without_zeta(self, tmp_path, capsys):
+        self.simulate(tmp_path, capsys, "sim3d", "beta_zeta=0.04")
+
+    def test_simulate_zero_replications(self, tmp_path, capsys):
+        self.simulate(tmp_path, capsys, "sim2d-setting1", "replications=0")
+
+    def test_simulate_zero_fields(self, tmp_path, capsys):
+        self.simulate(tmp_path, capsys, "sim2d-setting1", "n_fields=0")
+
+
+def test_cli_import_leaves_scipy_ndimage_out():
+    # scipy.ndimage is imported only where tfield labels its regions
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, fieldalign.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestReadMolecules:

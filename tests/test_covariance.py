@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.special import gamma, kv
 
 from fieldalign.covariance import (
@@ -16,6 +17,7 @@ from fieldalign.covariance import (
     modified_bessel_k,
 )
 from fieldalign.geometry import MarkedPointSet
+from fieldalign.simulation import grid_coords_2d
 
 # frozen with mpmath (30 digits): besselk(1/2, 1), besselk(1, 2)
 K_HALF_AT_1 = 0.461068504447894558
@@ -133,6 +135,15 @@ class TestKernelValue:
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-300)
         assert got[0] == 1.0
 
+    def test_general_order_repeated_distances_match_one_by_one(self):
+        # K_nu is called once per distinct distance; each entry must equal
+        # the value of that distance evaluated on its own
+        ev = kernel_evaluator(CovarianceModel(MATERN, rho=0.2, nu=1.0))
+        pts = grid_coords_2d(7)
+        d = cdist(pts, pts)
+        one_by_one = np.array([ev(np.array([x]))[0] for x in d.ravel()]).reshape(d.shape)
+        assert np.array_equal(ev(d), one_by_one)
+
     def test_validated_value_keeps_shape(self):
         model = CovarianceModel(MATERN, rho=0.9, nu=1.0)
         assert isinstance(kernel_value(model, 0.3), float)
@@ -179,6 +190,31 @@ class TestGramMatrix:
         assert used > 0
         g = chol @ chol.T
         assert np.allclose(g, gram_matrix(model, pts, jitter=used), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "model, pts, jitter",
+        [
+            (CovarianceModel(MATERN, rho=0.2, nu=1.0), grid_coords_2d(), 0.0),
+            *[
+                (CovarianceModel(MATERN, rho=0.4, nu=nu), pts, 0.0)
+                for nu in (0.5, 1.5, 0.8)
+                for pts in (
+                    np.random.default_rng(5).uniform(0, 1, (40, 2)),
+                    np.random.default_rng(6).uniform(0, 1, (30, 3)),
+                )
+            ],
+            (CovarianceModel(GAUSSIAN, rho=0.4), np.random.default_rng(7).uniform(0, 1, (40, 2)), 0.0),
+            (CovarianceModel(GAUSSIAN, rho=0.4), np.random.default_rng(8).uniform(0, 1, (30, 3)), 0.0),
+            (CovarianceModel(MATERN, rho=0.4, nu=0.8), [[0.3, 0.7]], 0.0),
+            (CovarianceModel(MATERN, rho=0.4, nu=0.8), [[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]], 0.0),
+            (CovarianceModel(MATERN, rho=0.4, nu=1.5), np.random.default_rng(9).uniform(0, 1, (20, 2)), 1e-8),
+        ],
+    )
+    def test_equals_kernel_on_full_distance_matrix(self, model, pts, jitter):
+        # the condensed evaluation is bit-identical to the plain one
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        expect = kernel_value(model, cdist(pts, pts)) + jitter * np.eye(pts.shape[0])
+        assert np.array_equal(gram_matrix(model, pts, jitter=jitter), expect)
 
     def test_positive_definite_random_configs(self):
         rng = np.random.default_rng(11)

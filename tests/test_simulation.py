@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fieldalign.covariance import MATERN, CovarianceModel, gram_matrix
+from scipy.spatial.distance import cdist
+
+from fieldalign.covariance import MATERN, CovarianceModel, gram_matrix, kernel_value
 from fieldalign.geometry import rmsd
 from fieldalign.kriging import build_field
 from fieldalign.similarity import partial_carbo
@@ -47,6 +49,14 @@ class TestSampleGrf:
         draws = np.array([sample_grf(model, pts, rng) for _ in range(5000)])
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0)) < 3.5 * se)
+
+    def test_lattice_draw_matches_plain_cholesky(self):
+        # the generating field of the 2D study, against the full-matrix path
+        model = Sim2DConfig().gen_model
+        grid = grid_coords_2d()
+        chol = np.linalg.cholesky(kernel_value(model, cdist(grid, grid)))
+        z = np.random.default_rng(123).standard_normal(grid.shape[0])
+        assert np.array_equal(sample_grf(model, grid, np.random.default_rng(123)), chol @ z)
 
     def test_seeded_determinism(self):
         model = CovarianceModel(MATERN, rho=0.5, nu=1.0)
