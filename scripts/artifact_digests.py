@@ -49,6 +49,15 @@ def runs() -> list[tuple[str, list[str]]]:
             "--set", "molecule_b=mols/mol_c.mol", "--seed", "12",
             *(f"--set={s}" for s in ALIGN_SHORT),
         ]),
+        # the half-normal likelihood, the neighbour-interaction mask prior and
+        # the general-order Matern kernel (scipy's kv)
+        ("align-pair-matern", [
+            "align-pair", "--set", "molecule_a=mols/mol_a.mol",
+            "--set", "molecule_b=mols/mol_c.mol", "--seed", "16",
+            "--set=likelihood=half_normal", "--set=zeta_interaction=0.5",
+            "--set=kernel=matern", "--set=nu=1.5",
+            *(f"--set={s}" for s in ALIGN_SHORT),
+        ]),
         ("gpa", [
             "gpa", "--profile", "steroid-gpa", "--set", f"molecules={mols}", "--seed", "13",
             "--set=step1_iterations=1000", "--set=step1_restart_check=250",

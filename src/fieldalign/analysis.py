@@ -9,6 +9,10 @@ import numpy as np
 from scipy.spatial.distance import squareform
 
 
+# grid nodes evaluated per block in t_field (bounds its working memory)
+_T_FIELD_CHUNK = 200_000
+
+
 class DistanceError(ValueError):
     """Invalid distance input."""
 
@@ -20,16 +24,28 @@ def symmetrize_distances(forward: float, backward: float) -> float:
     return float(np.sqrt(forward * backward))
 
 
+def write_table(path, columns, rows, header_lines=(), sep="\t"):
+    """Delimited text table: each header line as a '# ' comment, then the
+    column line (none when columns is None), then one line per row.  Floats
+    are written with repr, which reads back exactly, and other values with
+    str."""
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        if columns is not None:
+            fh.write(sep.join(columns) + "\n")
+        for row in rows:
+            fh.write(sep.join(
+                repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                for v in row
+            ) + "\n")
+
+
 def write_matrix(path, labels, values, header_lines=()):
     """Tab-separated square matrix under a label line, the format that
     DistanceMatrix.load reads.  Entries may be NaN (align-all's failed
     pairs), which load rejects."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("\t".join(labels) + "\n")
-        for row in values:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+    write_table(path, labels, np.asarray(values, dtype=float), header_lines)
 
 
 @dataclass(eq=False)
@@ -127,12 +143,8 @@ class WardDendrogram:
         return text[n + len(self.merges) - 1] + ";"
 
     def save(self, path, header_lines=()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("cluster_i\tcluster_j\theight\tsize\n")
-            for a, b, h, size in self.merges:
-                fh.write(f"{int(a)}\t{int(b)}\t{repr(float(h))}\t{int(size)}\n")
+        rows = [(int(a), int(b), h, int(size)) for a, b, h, size in self.merges]
+        write_table(path, ("cluster_i", "cluster_j", "height", "size"), rows, header_lines)
 
 
 def ward_cluster(distances) -> WardDendrogram:
@@ -162,8 +174,8 @@ class GridSpec:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be positive and finite")
         if any(c < 1 for c in self.shape):
             raise ValueError("grid shape entries must be positive")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
@@ -185,6 +197,8 @@ class GridSpec:
 
     @classmethod
     def covering(cls, coords, spacing: float, padding: float) -> "GridSpec":
+        if not (np.isfinite(spacing) and spacing > 0 and np.isfinite(padding)):
+            raise ValueError("spacing must be positive and finite, padding finite")
         pts = np.atleast_2d(np.asarray(coords, dtype=float))
         lo = pts.min(axis=0) - padding
         hi = pts.max(axis=0) + padding
@@ -207,26 +221,19 @@ class TFieldGrid:
         return self.t.ravel(order="F")
 
     def save(self, path, header_lines=()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(f"# origin: {' '.join(repr(v) for v in self.grid.origin)}\n")
-            fh.write(f"# spacing: {self.grid.spacing!r}\n")
-            fh.write(f"# shape: {' '.join(str(v) for v in self.grid.shape)}\n")
-            fh.write(f"# offset: {self.offset!r}\n")
-            fh.write(f"# groups: {self.n_a} {self.n_b}\n")
-            for v in self.flat():
-                fh.write(repr(float(v)) + "\n")
+        header = [
+            *header_lines,
+            f"origin: {' '.join(repr(v) for v in self.grid.origin)}",
+            f"spacing: {self.grid.spacing!r}",
+            f"shape: {' '.join(str(v) for v in self.grid.shape)}",
+            f"offset: {self.offset!r}",
+            f"groups: {self.n_a} {self.n_b}",
+        ]
+        write_table(path, None, self.flat()[:, None], header)
 
 
-def _field_values(fields, nodes: np.ndarray, normalized: bool) -> np.ndarray:
-    rows = []
-    for f in fields:
-        vals = f.predict(nodes)
-        if normalized:
-            vals = vals / f.norm
-        rows.append(vals)
-    return np.vstack(rows)
+def _field_values(fields, nodes: np.ndarray) -> np.ndarray:
+    return np.vstack([f.predict(nodes) / f.norm for f in fields])
 
 
 def t_statistic(values_a: np.ndarray, values_b: np.ndarray, offset_d: float) -> np.ndarray:
@@ -254,28 +261,26 @@ def t_field(
     group_fields_b,
     grid: GridSpec,
     offset_d: float = 0.001,
-    normalized: bool = True,
-    chunk: int = 200_000,
 ) -> TFieldGrid:
     """Pointwise two-sample t statistic between two groups of fields.
 
-    At each node the member fields are evaluated (normalized to unit RKHS
-    norm by default), group means and the standard pooled variance are
-    formed, the offset is added to the pooled variance, and
+    At each node the member fields are evaluated, normalized to unit RKHS
+    norm, group means and the standard pooled variance are formed, the
+    offset is added to the pooled variance, and
     t = (mean_a - mean_b) / (s*_pool sqrt(1/n_a + 1/n_b)).
     """
     n_a, n_b = len(group_fields_a), len(group_fields_b)
     if n_a < 2 or n_b < 2:
         raise ValueError("each group needs at least two member fields")
-    if offset_d <= 0:
+    if not offset_d > 0:
         raise ValueError("the variance offset must be positive")
     nodes = grid.nodes()
     out = np.empty(grid.n_nodes)
-    for start in range(0, grid.n_nodes, chunk):
-        block = nodes[start : start + chunk]
-        va = _field_values(group_fields_a, block, normalized)
-        vb = _field_values(group_fields_b, block, normalized)
-        out[start : start + chunk] = t_statistic(va, vb, offset_d)
+    for start in range(0, grid.n_nodes, _T_FIELD_CHUNK):
+        block = nodes[start : start + _T_FIELD_CHUNK]
+        va = _field_values(group_fields_a, block)
+        vb = _field_values(group_fields_b, block)
+        out[start : start + _T_FIELD_CHUNK] = t_statistic(va, vb, offset_d)
     return TFieldGrid(
         grid, out.reshape(grid.shape, order="F"), offset_d, n_a, n_b
     )
@@ -303,7 +308,7 @@ class ThresholdRegion:
 def threshold_regions(tfield: TFieldGrid, threshold: float) -> list[ThresholdRegion]:
     """Connected components (face adjacency) of |t| > threshold, separated
     by sign, largest first."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     from scipy import ndimage  # not at module level, as in ward_cluster
 
@@ -327,14 +332,10 @@ def threshold_regions(tfield: TFieldGrid, threshold: float) -> list[ThresholdReg
 
 
 def write_regions(path, regions: list[ThresholdRegion], grid: GridSpec, header_lines=()):
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("sign\tsize\tindex_min\tindex_max\tworld_min\tworld_max\n")
-        for r in regions:
-            lo, hi = r.bounds(grid)
-            fh.write(
-                f"{r.sign}\t{r.size}\t"
-                f"{','.join(map(str, r.index_min))}\t{','.join(map(str, r.index_max))}\t"
-                f"{','.join(repr(v) for v in lo)}\t{','.join(repr(v) for v in hi)}\n"
-            )
+    rows = [
+        (r.sign, r.size, ",".join(map(str, r.index_min)), ",".join(map(str, r.index_max)),
+         *(",".join(map(repr, corner)) for corner in r.bounds(grid)))
+        for r in regions
+    ]
+    columns = ("sign", "size", "index_min", "index_max", "world_min", "world_max")
+    write_table(path, columns, rows, header_lines)

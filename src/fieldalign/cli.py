@@ -397,15 +397,11 @@ def cmd_align_pair(config, out_dir: Path) -> int:
     _write_json(out_dir / "result.json", {**embed, **mcmc.result_to_dict(result)})
     mcmc.write_trace(out_dir / "trace.csv", result, header_lines=comments)
     mapped = result.map_state.transform.apply(start_b)
-    with open(out_dir / "scatter.csv", "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("set,stage,x,y,z\n")
-        stages = (("A,start", coords_a), ("A,map", coords_a), ("B,start", start_b),
-                  ("B,map", mapped))
-        for label, rows in stages:
-            for row in rows:
-                fh.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    stages = (("A", "start", coords_a), ("A", "map", coords_a), ("B", "start", start_b),
+              ("B", "map", mapped))
+    rows = [(s, stage, *xyz) for s, stage, coords in stages for xyz in coords]
+    analysis.write_table(out_dir / "scatter.csv", ("set", "stage", "x", "y", "z"), rows,
+                         comments, sep=",")
     return 1 if result.failed else 0
 
 
@@ -522,6 +518,14 @@ def _load_gpa_result(path) -> dict:
         return json.load(fh)
 
 
+@_config_values
+def _tfield_statistics(config, fields_a, fields_b, coords):
+    """The grid covering coords, the t-field on it and its regions."""
+    grid = analysis.GridSpec.covering(coords, config["spacing"], config["padding"])
+    tf = analysis.t_field(fields_a, fields_b, grid, offset_d=config["offset"])
+    return grid, tf, analysis.threshold_regions(tf, config["threshold"])
+
+
 def cmd_tfield(config, out_dir: Path) -> int:
     molecules = dict(_read_molecules(config["molecules"]))
     channel_idx = {"charge": 0, "steric": 1}.get(config["channel"])
@@ -553,13 +557,11 @@ def cmd_tfield(config, out_dir: Path) -> int:
 
     fields_a, coords_a = group_fields(config["group_a"])
     fields_b, coords_b = group_fields(config["group_b"])
-    grid = analysis.GridSpec.covering(
-        np.vstack([coords_a, coords_b]), config["spacing"], config["padding"]
+    grid, tf, regions = _tfield_statistics(
+        config, fields_a, fields_b, np.vstack([coords_a, coords_b])
     )
-    tf = analysis.t_field(fields_a, fields_b, grid, offset_d=config["offset"])
     comments = _artifact_comments(config)
     tf.save(out_dir / "tfield.txt", header_lines=comments)
-    regions = analysis.threshold_regions(tf, config["threshold"])
     analysis.write_regions(out_dir / "regions.tsv", regions, grid, header_lines=comments)
     _write_json(
         out_dir / "tfield.json",

@@ -20,7 +20,8 @@ MATERN = "matern"
 GAUSSIAN = "gaussian"
 
 _HALF_INT_TOL = 1e-12
-JITTER_LADDER = (1e-12, 1e-10, 1e-8)
+# diagonal shifts gram_cholesky tries in turn
+JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 class KernelDomainError(ValueError):
@@ -119,16 +120,12 @@ def kernel_cross(model: CovarianceModel, coords_a, coords_b) -> np.ndarray:
     return kernel_value(model, cdist(np.atleast_2d(coords_a), np.atleast_2d(coords_b)))
 
 
-def gram_matrix(model: CovarianceModel, coords, jitter: float = 0.0) -> np.ndarray:
-    """Gram matrix Sigma_ij = sigma(||x_i - x_j||) + jitter * [i = j]; sigma
-    is evaluated once per pair i < j, on pdist(coords), and sigma(0) = 1."""
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+def gram_matrix(model: CovarianceModel, coords) -> np.ndarray:
+    """Gram matrix Sigma_ij = sigma(||x_i - x_j||); sigma is evaluated once
+    per pair i < j, on pdist(coords), and sigma(0) = 1."""
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
     g = squareform(kernel_value(model, pdist(pts)), checks=False)
     np.fill_diagonal(g, 1.0)
-    if jitter:
-        g = g + jitter * np.eye(pts.shape[0])
     return g
 
 
@@ -143,21 +140,18 @@ def _closest_pair(coords) -> tuple[int, int, float]:
 def gram_cholesky(
     model: CovarianceModel,
     coords,
-    jitter: float = 0.0,
-    escalate: bool = True,
     gram: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of the Gram matrix with jitter escalation.
+    """Lower Cholesky factor of the Gram matrix and the jitter it needed.
 
-    Starts from `jitter` (default 0) and, on factorization failure, walks the
-    ladder 1e-12, 1e-10, 1e-8 before raising SingularGramError naming the
-    closest point pair.  A precomputed jitter-free Gram matrix may be passed
-    to skip the kernel evaluation.
+    Factors the plain matrix first and, on failure, walks the jitter ladder
+    1e-12, 1e-10, 1e-8 before raising SingularGramError naming the closest
+    point pair.  A precomputed jitter-free Gram matrix may be passed to skip
+    the kernel evaluation.
     """
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
     base = gram_matrix(model, pts) if gram is None else gram
-    ladder = [jitter] + [j for j in JITTER_LADDER if escalate and j > jitter]
-    for j in ladder:
+    for j in JITTER_LADDER:
         try:
             g = base + j * np.eye(pts.shape[0]) if j else base
             return np.linalg.cholesky(g), j
@@ -166,7 +160,7 @@ def gram_cholesky(
     if pts.shape[0] >= 2:
         i, jdx, dist = _closest_pair(pts)
         raise SingularGramError(
-            f"Gram matrix is singular even with jitter {ladder[-1]:g}; "
+            f"Gram matrix is singular even with jitter {JITTER_LADDER[-1]:g}; "
             f"closest points {i} and {jdx} at distance {dist:g}"
         )
     raise SingularGramError("Gram matrix is singular")

@@ -2,8 +2,7 @@
 
 A predicted field is Zhat(x) = sum over unmasked points i of
 w_i sigma(x_i - x) with weights solving Sigma w = z on the unmasked
-sub-Gram.  The squared RKHS norm is w' Sigma w = w' z, cached at build time
-together with the Cholesky factor of the sub-Gram.
+sub-Gram.  The squared RKHS norm is w' Sigma w = w' z, cached at build time.
 """
 
 from __future__ import annotations
@@ -40,12 +39,11 @@ def kriging_solve(
     coords,
     marks,
     gram: np.ndarray | None = None,
-    jitter: float = 0.0,
 ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Solve Sigma w = z on the given points (optionally from their
     precomputed jitter-free Gram matrix): returns the Cholesky factor of
     Sigma, the jitter it needed, w and the squared RKHS norm w'z."""
-    chol, used = gram_cholesky(model, coords, jitter=jitter, gram=gram)
+    chol, used = gram_cholesky(model, coords, gram=gram)
     weights = solve_weights(chol, marks)
     norm_sq = float(weights @ marks)
     if norm_sq <= _NORM_SQ_FLOOR:
@@ -75,11 +73,9 @@ class PredictedField:
     weights: np.ndarray
     model: CovarianceModel
     norm: float
-    chol: np.ndarray
-    mean: float = 0.0
 
     def __post_init__(self):
-        for name in ("source_coords", "mask", "weights", "chol"):
+        for name in ("source_coords", "mask", "weights"):
             a = np.asarray(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -102,7 +98,7 @@ class PredictedField:
 
     def predict(self, x) -> float | np.ndarray:
         """Evaluate the field at one point (m,) or a batch (n, m)."""
-        return kernel_sum(self.model, self.active_coords, self.weights, x) + self.mean
+        return kernel_sum(self.model, self.active_coords, self.weights, x)
 
     def transformed(self, transform: RigidTransform) -> "PredictedField":
         """Same field with rigidly moved sources; weights and norm carry over
@@ -113,8 +109,6 @@ class PredictedField:
             self.weights,
             self.model,
             self.norm,
-            self.chol,
-            self.mean,
         )
 
 
@@ -122,15 +116,9 @@ def build_field(
     points: MarkedPointSet,
     mask=None,
     model: CovarianceModel | None = None,
-    mean: float = 0.0,
-    jitter: float = 0.0,
 ) -> PredictedField:
-    """Krige a (masked) point set into a PredictedField.
-
-    mask entries select contributing points (default: all).  The optional
-    `mean` is subtracted from the marks before solving and added back at
-    prediction time; it defaults to zero per the simple-kriging model.
-    """
+    """Krige a (masked) point set into a PredictedField (zero-mean simple
+    kriging); mask entries select contributing points (default: all)."""
     if model is None:
         raise ValueError("a CovarianceModel is required")
     if mask is None:
@@ -140,9 +128,5 @@ def build_field(
         raise ValueError("mask length must equal the number of points")
     if not mask.any():
         raise EmptyFieldError("all points are masked out")
-    chol, _, weights, norm_sq = kriging_solve(
-        model, points.coords[mask], points.marks[mask] - mean, jitter=jitter
-    )
-    return PredictedField(
-        points.coords, mask, weights, model, float(np.sqrt(norm_sq)), chol, mean
-    )
+    _, _, weights, norm_sq = kriging_solve(model, points.coords[mask], points.marks[mask])
+    return PredictedField(points.coords, mask, weights, model, float(np.sqrt(norm_sq)))

@@ -5,8 +5,8 @@ exponential (or half-normal) likelihood in the Kernel Carbo dissimilarity, a
 Gamma prior on the precision, the mask penalty/interaction prior and the
 rotation prior.  One sweep updates, in order: the rotation block, the
 translation block, the precision (Gibbs), the mask of set A and the mask of
-set B.  Dynamic range/weight schedules, simulated annealing, periodic
-escape proposals and threshold-triggered restarts are layered on top.
+set B.  Dynamic range/weight schedules, periodic escape proposals and
+threshold-triggered restarts are layered on top.
 
 Mask flips update the kriging state incrementally.  Point coordinates within
 a set never move, so each channel caches the full Gram matrix of each set
@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
+from .analysis import write_table
 from .covariance import CovarianceModel, kernel_evaluator
 from .geometry import (
     MarkedPointSet,
@@ -109,7 +110,6 @@ class Hyperparameters:
     burn_in: int | None = None  # default: 20% of n_iterations
     thin: int = 20
     likelihood_kind: str = EXPONENTIAL
-    annealing_schedule: LinearSchedule | None = None
     range_schedule: LinearSchedule | None = None
     weight_schedule: LinearSchedule | None = None
     weight_q: float = 0.5
@@ -118,10 +118,19 @@ class Hyperparameters:
     tau_init: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigurationError("alpha and beta must be positive")
-        if self.zeta < 0 or self.zeta_i < 0:
-            raise ConfigurationError("zeta and zeta_i must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0
+                and math.isfinite(self.beta) and self.beta > 0):
+            raise ConfigurationError("alpha and beta must be positive and finite")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0
+                and math.isfinite(self.zeta_i) and self.zeta_i >= 0):
+            raise ConfigurationError("zeta and zeta_i must be nonnegative and finite")
+        for sd in (self.proposal_sd_rotation, self.proposal_sd_translation):
+            if not (math.isfinite(sd) and sd >= 0):
+                raise ConfigurationError("proposal SDs must be nonnegative and finite")
+        if not (math.isfinite(self.escape_scale) and self.escape_scale > 0):
+            raise ConfigurationError("escape_scale must be positive and finite")
+        if self.max_restarts < 0:
+            raise ConfigurationError("max_restarts must be nonnegative")
         if self.n_iterations < 1:
             raise ConfigurationError("n_iterations must be positive")
         if self.burn_in is not None and not 0 <= self.burn_in < self.n_iterations:
@@ -132,13 +141,12 @@ class Hyperparameters:
             raise ConfigurationError(f"unknown likelihood {self.likelihood_kind!r}")
         if not 0.0 <= self.weight_q <= 1.0:
             raise ConfigurationError("weight_q must lie in [0, 1]")
-        sched = self.annealing_schedule
-        if sched is not None and not min(sched.start, sched.end) > 0.0:
-            raise ConfigurationError("annealing temperatures must be positive")
         if (self.restart_check_iter is None) != (self.restart_threshold is None):
             raise ConfigurationError(
                 "restart_check_iter and restart_threshold go together"
             )
+        if self.restart_threshold is not None and not math.isfinite(self.restart_threshold):
+            raise ConfigurationError("restart_threshold must be finite")
         if not self.update_tau and self.tau_init is None:
             raise ConfigurationError("fixed-tau runs need tau_init")
 
@@ -163,6 +171,13 @@ class InitSpec:
     translation_range: float = 0.0  # per-axis U[-r, r]
     haar_rotation: bool = False
     mask_p: float = 0.5
+
+    def __post_init__(self):
+        for r in (self.rotation_range, self.translation_range):
+            if not (math.isfinite(r) and r >= 0):
+                raise ConfigurationError("initial ranges must be nonnegative and finite")
+        if not 0.0 <= self.mask_p <= 1.0:
+            raise ConfigurationError("mask_p must lie in [0, 1]")
 
     def sample_transform(self, rng: np.random.Generator, dimension: int) -> RigidTransform:
         if self.haar_rotation:
@@ -310,14 +325,12 @@ def gibbs_update_tau(
     beta: float,
     rng: np.random.Generator,
     kind: str = EXPONENTIAL,
-    temperature: float = 1.0,
 ) -> float | None:
     """Draw the precision from its full conditional.
 
     Exponential likelihood gives Gamma(alpha + 1, D + beta); half-normal
-    gives Gamma(alpha + 1/2, D^2 + beta).  Under annealing at temperature T
-    the tempered conditional Gamma((s - 1)/T + 1, r/T) is used, which
-    reduces to the above at T = 1.  Returns None (no update) for infinite D.
+    gives Gamma(alpha + 1/2, D^2 + beta).  Returns None (no update) for
+    infinite D.
     """
     if not np.isfinite(carbo_dissimilarity):
         return None
@@ -329,9 +342,6 @@ def gibbs_update_tau(
         rate = carbo_dissimilarity**2 + beta
     else:
         raise ConfigurationError(f"unknown likelihood {kind!r}")
-    if temperature != 1.0:
-        shape = (shape - 1.0) / temperature + 1.0
-        rate = rate / temperature
     return float(rng.gamma(shape, 1.0 / rate))
 
 
@@ -523,7 +533,6 @@ class PairEngine:
         self.mask_a: np.ndarray | None = None
         self.mask_b: np.ndarray | None = None
         self.tau = 1.0
-        self.temperature = 1.0
         self.weight_q = hyper.weight_q
         self.rho_current = channels[0].base_model.rho
         self.dissimilarity = np.inf
@@ -600,10 +609,31 @@ class PairEngine:
         inner = float(coeff @ proj)
         return inner, min(max(inner, -1.0), 1.0)
 
+    def _cross_terms(self, dcross: np.ndarray) -> tuple[list[tuple], list[float]]:
+        """At the given A-to-moved-B distances: per channel the cross kernel,
+        proj["a"] = kcross coeff_b and the Carbo inner product, and the
+        channels' Carbo similarities."""
+        cross, sims = [], []
+        for ch in self.channels:
+            kcross = ch.kernel_fn(dcross)
+            proj_a = kcross @ ch.coeff["b"]
+            inner, sim = self._similarity(ch.coeff["a"], proj_a)
+            cross.append((kcross, proj_a, inner))
+            sims.append(sim)
+        return cross, sims
+
+    def _install_cross(self, dcross: np.ndarray, cross: list[tuple], sims: list[float]):
+        self._dcross = dcross
+        for ch, (kcross, proj_a, inner), sim in zip(self.channels, cross, sims):
+            ch.kcross = kcross
+            ch.proj["a"] = proj_a
+            ch.proj["b"] = ch.coeff["a"] @ kcross
+            ch.inner, ch.similarity = inner, sim
+
     def _rebuild(self, sides=("a", "b")):
         """Refactorize the named sides of every channel from its cached Gram
-        matrices, then recompute its cross kernel, from the cached cross
-        distances, and its Carbo terms."""
+        matrices, then recompute the cross terms at the cached cross
+        distances."""
         for ch in self.channels:
             for side, coords, mask in (
                 ("a", self.coords_a, self.mask_a),
@@ -616,10 +646,7 @@ class PairEngine:
                     ch.kriged[side] = kriged
                     ch.coeff[side] = kriged.w / kriged.norm
                     self._flips[side] = 0
-            ch.kcross = ch.kernel_fn(self._dcross)
-            ch.proj["a"] = ch.kcross @ ch.coeff["b"]
-            ch.proj["b"] = ch.coeff["a"] @ ch.kcross
-            ch.inner, ch.similarity = self._similarity(ch.coeff["a"], ch.proj["a"])
+        self._install_cross(self._dcross, *self._cross_terms(self._dcross))
 
     def _combined(self, sims: list[float]) -> float:
         if len(sims) == 1:
@@ -641,6 +668,9 @@ class PairEngine:
             self.hyper.zeta, self.hyper.zeta_i, float(total), boundary
         )
 
+    def _sum_log_posterior(self):
+        self.log_posterior = self.log_lik + self.lp_tau + self.lp_mask + self.lp_euler
+
     def _refresh_scalars(self):
         sims = [ch.similarity for ch in self.channels]
         self.dissimilarity = self._combined(sims)
@@ -648,9 +678,21 @@ class PairEngine:
             self.dissimilarity, self.tau, self.hyper.likelihood_kind
         )
         self.lp_tau = log_tau_prior(self.tau, self.hyper.alpha, self.hyper.beta)
-        self.log_posterior = self.log_lik + self.lp_tau + self.lp_mask + self.lp_euler
+        self._sum_log_posterior()
 
     # -- state installation ----------------------------------------------
+
+    def _set_pose(self, transform: RigidTransform):
+        self.euler = wrap_angles(transform.euler)
+        self.translation = np.array(transform.translation, dtype=float)
+        self.gmat = transform.matrix
+        self.lp_euler = euler_prior_log_density(self.euler)
+        self._dcross = self._cross_dists(self.gmat, self.translation)
+
+    def _use_rho(self, rho: float):
+        self.rho_current = rho
+        for ch in self.channels:
+            ch.set_model(ch.base_model.with_rho(rho), self._dist)
 
     def install_state(
         self,
@@ -665,9 +707,7 @@ class PairEngine:
         tau=None draws the precision from its full conditional at the
         initial dissimilarity (requires rng).
         """
-        self.euler = wrap_angles(transform.euler)
-        self.translation = np.array(transform.translation, dtype=float)
-        self.gmat = transform.matrix
+        self._set_pose(transform)
         if self.field_mode:
             self.mask_a = None
         else:
@@ -679,7 +719,6 @@ class PairEngine:
         self.mask_b = np.array(mask_b, dtype=bool)
         if not self.mask_b.any():
             raise EmptyFieldError("mask of set B is empty")
-        self._dcross = self._cross_dists(self.gmat, self.translation)
         self._rebuild()
         self._n_on = {
             "a": 0 if self.mask_a is None else int(self.mask_a.sum()),
@@ -688,7 +727,6 @@ class PairEngine:
         self.lp_mask = self._mask_prior_value(
             self.mask_a, self.mask_b, self._n_on["a"] + self._n_on["b"]
         )
-        self.lp_euler = euler_prior_log_density(self.euler)
         if tau is None:
             if rng is None:
                 raise ConfigurationError("drawing the initial tau requires an rng")
@@ -711,42 +749,30 @@ class PairEngine:
         """Move every channel to a new kernel range and rebuild all caches."""
         if rho == self.rho_current:
             return
-        self.rho_current = rho
-        for ch in self.channels:
-            ch.set_model(ch.base_model.with_rho(rho), self._dist)
+        self._use_rho(rho)
         self._rebuild()
         self._refresh_scalars()
 
     def prepare_attempt(self):
         """Reset schedule-driven quantities to their iteration-1 values so a
-        fresh (re)start is installed under the right kernel range, channel
-        weight and temperature."""
+        fresh (re)start is installed under the right kernel range and
+        channel weight."""
         h = self.hyper
         if h.range_schedule is not None:
-            rho = h.range_schedule.value(1)
-            self.rho_current = rho
-            for ch in self.channels:
-                ch.set_model(ch.base_model.with_rho(rho), self._dist)
+            self._use_rho(h.range_schedule.value(1))
         self.weight_q = (
             h.weight_schedule.value(1) if h.weight_schedule is not None else h.weight_q
-        )
-        self.temperature = (
-            h.annealing_schedule.value(1) if h.annealing_schedule is not None else 1.0
         )
         self.counters = {}
 
     def set_transform(self, transform: RigidTransform):
         """Install a new rigid transform (cross terms only)."""
-        self.euler = wrap_angles(transform.euler)
-        self.translation = np.array(transform.translation, dtype=float)
-        self.gmat = transform.matrix
-        self.lp_euler = euler_prior_log_density(self.euler)
-        self._dcross = self._cross_dists(self.gmat, self.translation)
+        self._set_pose(transform)
         self._rebuild(sides=())
         self._refresh_scalars()
 
     def begin_iteration(self, iteration: int):
-        """Apply range/weight/annealing schedules for this iteration."""
+        """Apply the range and weight schedules for this iteration."""
         h = self.hyper
         if h.range_schedule is not None:
             self.set_rho(h.range_schedule.value(iteration))
@@ -755,8 +781,6 @@ class PairEngine:
             if wq != self.weight_q:
                 self.weight_q = wq
                 self._refresh_scalars()
-        if h.annealing_schedule is not None:
-            self.temperature = h.annealing_schedule.value(iteration)
 
     # -- MH blocks ---------------------------------------------------------
 
@@ -766,72 +790,59 @@ class PairEngine:
         c[0] += int(accepted)
 
     def _accept(self, rng: np.random.Generator, delta: float) -> bool:
-        # symmetric proposals: accept with min(1, exp(delta / T))
+        # symmetric proposals: accept with min(1, exp(delta))
         if delta == -np.inf:
             rng.uniform()
             return False
         if self.log_lik == -np.inf and delta == np.inf:
             rng.uniform()
             return True
-        return math.log(rng.uniform()) < delta / self.temperature
+        return math.log(rng.uniform()) < delta
+
+    def _metropolis(
+        self, rng: np.random.Generator, block: str, sims_new: list[float],
+        lp_new: float, lp_old: float,
+    ) -> bool:
+        """Accept or reject a proposal with the given channel similarities
+        whose prior term moves from lp_old to lp_new, and count it.  An
+        accepted proposal's D and log likelihood are installed here; the
+        caller installs the rest and then sums the log posterior."""
+        d_new = self._combined(sims_new)
+        ll_new = log_likelihood(d_new, self.tau, self.hyper.likelihood_kind)
+        delta = (ll_new + lp_new) - (self.log_lik + lp_old)
+        if math.isnan(delta):  # both -inf
+            delta = -np.inf
+        accepted = self._accept(rng, delta)
+        if accepted:
+            self.dissimilarity = d_new
+            self.log_lik = ll_new
+        self._count(block, accepted)
+        return accepted
 
     def step_rigid(self, rng: np.random.Generator, block: str, scale: float = 1.0) -> bool:
         """Gaussian random-walk proposal on all rotation angles or all
         translation entries (one block)."""
         if block == "rotation":
             step = rng.standard_normal(self.euler.shape[0])
-            euler_new = wrap_angles(
-                self.euler + self.hyper.proposal_sd_rotation * scale * step
-            )
-            translation_new = self.translation
-            lp_euler_new = euler_prior_log_density(euler_new)
-            gmat_new = rotation_matrix(euler_new)
+            euler = wrap_angles(self.euler + self.hyper.proposal_sd_rotation * scale * step)
+            translation = self.translation
+            lp_euler = euler_prior_log_density(euler)
+            gmat = rotation_matrix(euler)
         elif block == "translation":
             step = rng.standard_normal(self.m)
-            euler_new = self.euler
-            translation_new = (
-                self.translation + self.hyper.proposal_sd_translation * scale * step
-            )
-            lp_euler_new = self.lp_euler
-            gmat_new = self.gmat
+            euler, gmat, lp_euler = self.euler, self.gmat, self.lp_euler
+            translation = self.translation + self.hyper.proposal_sd_translation * scale * step
         else:
             raise ValueError(f"unknown rigid block {block!r}")
-        dcross_new = self._cross_dists(gmat_new, translation_new)
-        cross_new = []
-        sims_new = []
-        inners_new = []
-        for ch in self.channels:
-            k = ch.kernel_fn(dcross_new)
-            proj_a = k @ ch.coeff["b"]
-            inner, sim = self._similarity(ch.coeff["a"], proj_a)
-            cross_new.append((k, proj_a))
-            inners_new.append(inner)
-            sims_new.append(sim)
-        d_new = self._combined(sims_new)
-        ll_new = log_likelihood(d_new, self.tau, self.hyper.likelihood_kind)
-        delta = (ll_new + lp_euler_new) - (self.log_lik + self.lp_euler)
-        if math.isnan(delta):  # both -inf
-            delta = -np.inf
-        accepted = self._accept(rng, delta)
-        if accepted:
-            self.euler = euler_new
-            self.translation = np.asarray(translation_new, dtype=float)
-            self.gmat = gmat_new
-            self.lp_euler = lp_euler_new
-            self._dcross = dcross_new
-            for ch, (k, proj_a), inner, sim in zip(
-                self.channels, cross_new, inners_new, sims_new
-            ):
-                ch.kcross = k
-                ch.proj["a"] = proj_a
-                ch.proj["b"] = ch.coeff["a"] @ k
-                ch.inner = inner
-                ch.similarity = sim
-            self.dissimilarity = d_new
-            self.log_lik = ll_new
-            self.log_posterior = ll_new + self.lp_tau + self.lp_mask + self.lp_euler
-        self._count(block, accepted)
-        return accepted
+        dcross = self._cross_dists(gmat, translation)
+        cross, sims = self._cross_terms(dcross)
+        if not self._metropolis(rng, block, sims, lp_euler, self.lp_euler):
+            return False
+        self.euler, self.translation, self.gmat = euler, translation, gmat
+        self.lp_euler = lp_euler
+        self._install_cross(dcross, cross, sims)
+        self._sum_log_posterior()
+        return True
 
     def step_tau(self, rng: np.random.Generator) -> bool:
         drawn = gibbs_update_tau(
@@ -840,7 +851,6 @@ class PairEngine:
             self.hyper.beta,
             rng,
             self.hyper.likelihood_kind,
-            self.temperature,
         )
         if drawn is None:
             return False
@@ -868,9 +878,7 @@ class PairEngine:
             return False
         mask_new = mask.copy()
         mask_new[idx] = adding
-        kriged_new = []
-        sims_new = []
-        inners_new = []
+        flipped, sims = [], []
         try:
             for ch in self.channels:
                 kriged = ch.kriged[side].flipped(ch.gram[side], ch.marks[side], idx, adding)
@@ -880,50 +888,39 @@ class PairEngine:
                     )
                 coeff = kriged.w / kriged.norm
                 inner, sim = self._similarity(coeff, ch.proj[side])
-                kriged_new.append((kriged, coeff))
-                inners_new.append(inner)
-                sims_new.append(sim)
+                flipped.append((kriged, coeff, inner))
+                sims.append(sim)
         except DegenerateFieldError:
             self._count(block, False)
             return False
         total = n_on + self._n_on["b" if side == "a" else "a"]
         if side == "a":
-            lp_mask_new = self._mask_prior_value(mask_new, self.mask_b, total)
+            lp_mask = self._mask_prior_value(mask_new, self.mask_b, total)
         else:
-            lp_mask_new = self._mask_prior_value(self.mask_a, mask_new, total)
-        d_new = self._combined(sims_new)
-        ll_new = log_likelihood(d_new, self.tau, self.hyper.likelihood_kind)
-        delta = (ll_new + lp_mask_new) - (self.log_lik + self.lp_mask)
-        if math.isnan(delta):
-            delta = -np.inf
-        accepted = self._accept(rng, delta)
-        if accepted:
+            lp_mask = self._mask_prior_value(self.mask_a, mask_new, total)
+        if not self._metropolis(rng, block, sims, lp_mask, self.lp_mask):
+            return False
+        if side == "a":
+            self.mask_a = mask_new
+        else:
+            self.mask_b = mask_new
+        for ch, (kriged, coeff, inner), sim in zip(self.channels, flipped, sims):
+            kriged.settle()
+            ch.kriged[side] = kriged
+            ch.coeff[side] = coeff
             if side == "a":
-                self.mask_a = mask_new
+                ch.proj["b"] = coeff @ ch.kcross
             else:
-                self.mask_b = mask_new
-            for ch, (kriged, coeff), inner, sim in zip(
-                self.channels, kriged_new, inners_new, sims_new
-            ):
-                kriged.settle()
-                ch.kriged[side] = kriged
-                ch.coeff[side] = coeff
-                if side == "a":
-                    ch.proj["b"] = coeff @ ch.kcross
-                else:
-                    ch.proj["a"] = ch.kcross @ coeff
-                ch.inner, ch.similarity = inner, sim
-            self.lp_mask = lp_mask_new
-            self.dissimilarity = d_new
-            self.log_lik = ll_new
-            self.log_posterior = ll_new + self.lp_tau + self.lp_mask + self.lp_euler
-            self._n_on[side] = n_on
-            self._flips[side] += 1
-            if self._flips[side] >= _REBUILD_PERIOD:
-                self._rebuild(sides=(side,))
-                self._refresh_scalars()
-        self._count(block, accepted)
-        return accepted
+                ch.proj["a"] = ch.kcross @ coeff
+            ch.inner, ch.similarity = inner, sim
+        self.lp_mask = lp_mask
+        self._sum_log_posterior()
+        self._n_on[side] = n_on
+        self._flips[side] += 1
+        if self._flips[side] >= _REBUILD_PERIOD:
+            self._rebuild(sides=(side,))
+            self._refresh_scalars()
+        return True
 
     # -- snapshots ---------------------------------------------------------
 
@@ -950,14 +947,6 @@ class PairEngine:
             log_posterior=self.log_posterior,
             iteration=iteration,
         )
-
-    def evaluate(
-        self, transform: RigidTransform, mask_a, mask_b, tau: float, iteration: int = 0
-    ) -> ChainState:
-        """Full recompute of a ChainState at arbitrary parameters, leaving
-        the engine installed at that state."""
-        self.install_state(transform, mask_a, mask_b, tau)
-        return self.snapshot(iteration)
 
     def acceptance_rates(self) -> dict[str, float]:
         return {
@@ -1127,8 +1116,8 @@ def _run_chain(
     acceptance = engine.acceptance_rates()
     plug_in = map_state.carbo.dissimilarity
     try:
-        mean_state = engine.evaluate(mean_transform, mean_mask_a, mean_mask_b, mean_tau)
-        plug_in_mean = mean_state.carbo.dissimilarity
+        engine.install_state(mean_transform, mean_mask_a, mean_mask_b, mean_tau)
+        plug_in_mean = engine.snapshot().carbo.dissimilarity
     except (DegenerateFieldError, EmptyFieldError):
         plug_in_mean = np.inf
     traces = np.array(acc.rows, dtype=float)
@@ -1204,12 +1193,7 @@ def write_trace(path, result: AlignmentResult, header_lines=()):
     Optional header lines are written first as '#' comments (the CLI uses
     them to embed the run configuration and seed).
     """
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(result.trace_columns) + "\n")
-        for row in result.traces:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_table(path, result.trace_columns, result.traces, header_lines, sep=",")
 
 
 def _transform_dict(t: RigidTransform) -> dict:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .analysis import write_table
 from .covariance import MATERN, CovarianceModel, gram_cholesky
 from .geometry import (
     MarkedPointSet,
@@ -582,15 +583,4 @@ def write_records(path, records: list[dict], header_lines=()):
     if not records:
         raise ValueError("no records to write")
     keys = [k for k in records[0] if k != "field"]
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("\t".join(keys) + "\n")
-        for r in records:
-            fh.write(
-                "\t".join(
-                    repr(float(r[k])) if isinstance(r[k], (float, np.floating)) else str(r[k])
-                    for k in keys
-                )
-                + "\n"
-            )
+    write_table(path, keys, ([r[k] for k in keys] for r in records), header_lines)

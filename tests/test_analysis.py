@@ -224,13 +224,16 @@ class TestTField:
         a = [base, base, base]
         coords = base.source_coords
         marks = base.predict(coords)  # equals the original marks
-        double = build_field(MarkedPointSet(coords, 2.0 * np.asarray(marks)), model=MODEL)
-        b = [double, double]
+        # reversed marks: not a multiple of base, so the normalized fields differ
+        other = build_field(MarkedPointSet(coords, np.asarray(marks)[::-1]), model=MODEL)
+        b = [other, other]
         d = 0.001
-        tf = t_field(a, b, self.grid(), offset_d=d, normalized=False)
+        tf = t_field(a, b, self.grid(), offset_d=d)
         nodes = self.grid().nodes()
-        va = base.predict(nodes)
-        vb = double.predict(nodes)
+        # t_field evaluates every member normalized to unit RKHS norm
+        va = base.predict(nodes) / base.norm
+        vb = other.predict(nodes) / other.norm
+        assert np.max(np.abs(va - vb)) > 0.1
         expect = (va - vb) / (np.sqrt(d) * np.sqrt(1 / 3 + 1 / 2))
         assert np.max(np.abs(tf.flat() - expect)) < 1e-9
 

@@ -531,6 +531,42 @@ class TestErrorExitCodes:
     def test_simulate_zero_fields(self, tmp_path, capsys):
         self.simulate(tmp_path, capsys, "sim2d-setting1", "n_fields=0")
 
+    @pytest.mark.parametrize("setting", [
+        "alpha=nan", "beta=inf", "zeta=nan", "zeta_interaction=nan", "rotation_sd_deg=nan",
+        "translation_sd=inf", "escape_scale=nan", "max_restarts=-3", "restart_threshold=nan",
+        "init_rotation_deg=nan", "init_translation=nan", "mask_init_p=nan",
+    ])
+    def test_bad_pair_sampler_setting(self, tmp_path, capsys, setting):
+        self.check(capsys, pair_args(tmp_path, setting), 2, "configuration error:")
+
+    @pytest.mark.parametrize("setting", ["step1_alpha=nan", "refine_translation_sd=nan"])
+    def test_bad_gpa_sampler_setting(self, tmp_path, capsys, setting):
+        args = ["gpa", "--set", f"molecules={DATA}", "--set", setting, "--out-dir", tmp_path]
+        self.check(capsys, args, 2, "configuration error:")
+
+    @staticmethod
+    def tfield_two_member_args(tmp_path, *settings):
+        gpa_json = tmp_path / "gpa.json"
+        write_gpa_json(gpa_json, ["mol_a", "mol_b"], [[1] * 12, [1] * 12])
+        args = ["tfield", "--set", f"molecules={DATA}", "--set", f"transforms_from={gpa_json}",
+                "--set", f"group_a={gpa_json}", "--set", f"group_b={gpa_json}",
+                "--out-dir", tmp_path / "out"]
+        for item in settings:
+            args += ["--set", item]
+        return args
+
+    def test_tfield_two_member_groups_run(self, tmp_path, capsys):
+        # the valid baseline of the bad grid settings below
+        assert run_cli(self.tfield_two_member_args(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "setting", ["spacing=0", "spacing=nan", "padding=nan", "threshold=0", "offset=0"]
+    )
+    def test_bad_tfield_grid_setting(self, tmp_path, capsys, setting):
+        args = self.tfield_two_member_args(tmp_path, setting)
+        self.check(capsys, args, 2, "configuration error:")
+
 
 def test_cli_import_leaves_scipy_ndimage_out():
     # scipy.ndimage is imported only where tfield labels its regions

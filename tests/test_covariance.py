@@ -165,9 +165,9 @@ class TestKernelValue:
 class TestGramMatrix:
     def test_single_point(self):
         model = CovarianceModel(GAUSSIAN, rho=1.0)
-        g = gram_matrix(model, [[0.0, 0.0]], jitter=0.25)
+        g = gram_matrix(model, [[0.0, 0.0]])
         assert g.shape == (1, 1)
-        assert abs(g[0, 0] - 1.25) < 1e-15
+        assert g[0, 0] == 1.0
 
     def test_two_points_known_value(self):
         # distance chosen so sigma(h) = 0.5 for the Gaussian kernel
@@ -178,9 +178,12 @@ class TestGramMatrix:
         assert np.allclose(g, [[1.0, 0.5], [0.5, 1.0]], atol=1e-12)
 
     def test_coincident_points_singular(self):
+        # an indefinite matrix defeats the whole jitter ladder; the error
+        # names the closest (here coincident) pair
         model = CovarianceModel(GAUSSIAN, rho=1.0)
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularGramError) as err:
-            gram_cholesky(model, [[0.0, 0.0], [0.0, 0.0]], escalate=False)
+            gram_cholesky(model, [[0.0, 0.0], [0.0, 0.0]], gram=indefinite)
         assert "0" in str(err.value) and "1" in str(err.value)
 
     def test_jitter_escalation_recovers(self):
@@ -189,7 +192,7 @@ class TestGramMatrix:
         chol, used = gram_cholesky(model, pts)
         assert used > 0
         g = chol @ chol.T
-        assert np.allclose(g, gram_matrix(model, pts, jitter=used), atol=1e-10)
+        assert np.allclose(g, gram_matrix(model, pts) + used * np.eye(3), atol=1e-10)
 
     @pytest.mark.parametrize(
         "model, pts, jitter",
@@ -211,10 +214,12 @@ class TestGramMatrix:
         ],
     )
     def test_equals_kernel_on_full_distance_matrix(self, model, pts, jitter):
-        # the condensed evaluation is bit-identical to the plain one
+        # the condensed evaluation is bit-identical to the plain one, also
+        # under the diagonal shift gram_cholesky adds
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        expect = kernel_value(model, cdist(pts, pts)) + jitter * np.eye(pts.shape[0])
-        assert np.array_equal(gram_matrix(model, pts, jitter=jitter), expect)
+        eye = np.eye(pts.shape[0])
+        expect = kernel_value(model, cdist(pts, pts)) + jitter * eye
+        assert np.array_equal(gram_matrix(model, pts) + jitter * eye, expect)
 
     def test_positive_definite_random_configs(self):
         rng = np.random.default_rng(11)

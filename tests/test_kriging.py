@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fieldalign.covariance import GAUSSIAN, MATERN, CovarianceModel, SingularGramError
+from fieldalign.covariance import (
+    GAUSSIAN,
+    MATERN,
+    CovarianceModel,
+    SingularGramError,
+    gram_matrix,
+)
 from fieldalign.geometry import MarkedPointSet, RigidTransform, wrap_angles
 from fieldalign.kriging import (
     DegenerateFieldError,
@@ -51,7 +57,6 @@ class TestKrigingWeights:
 
     def test_residual_norm(self):
         rng = np.random.default_rng(0)
-        from fieldalign.covariance import gram_matrix
 
         pts = rng.uniform(0, 1, (15, 3))
         gram = gram_matrix(MODEL, pts)
@@ -146,16 +151,6 @@ class TestPrediction:
         singles = np.array([f.predict(p) for p in pts])
         assert np.allclose(batch, singles, atol=1e-14)
 
-    def test_mean_correction_hook(self):
-        rng = np.random.default_rng(7)
-        ps = random_set(rng)
-        f = build_field(ps, model=MODEL, mean=1.5)
-        # still interpolates the observed marks
-        for i in range(ps.k):
-            assert abs(f.predict(ps.coords[i]) - ps.marks[i]) < 1e-8
-        # far away the prediction reverts to the supplied mean
-        assert abs(f.predict(np.array([1e3, 1e3])) - 1.5) < 1e-12
-
 
 class TestNormInvariance:
     def test_rigid_invariance_of_norm(self):
@@ -182,5 +177,5 @@ class TestNormInvariance:
         rng = np.random.default_rng(10)
         ps = random_set(rng, k=7)
         f = build_field(ps, model=MODEL)
-        gram = np.asarray(f.chol) @ np.asarray(f.chol).T
+        gram = gram_matrix(MODEL, ps.coords)
         assert abs(f.norm**2 - float(f.weights @ gram @ f.weights)) < 1e-9

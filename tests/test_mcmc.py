@@ -141,32 +141,16 @@ class TestGibbsTau:
 
 
 class TestAnnealedTarget:
-    """At temperature T the engine samples pi^(1/T): a move that changes the
-    log target by delta is accepted when log(u) < delta / T."""
-
-    @staticmethod
-    def decisions(temperature, delta, n=2_000):
-        set_a, set_b = small_pair()
-        engine = PairEngine.for_pair(set_a, set_b, MODEL, quick_hyper())
-        engine.temperature = temperature
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        got = [engine._accept(rng, delta) for _ in range(n)]
-        want = [math.log(ref.uniform()) < delta / temperature for _ in range(n)]
-        return got, want
+    """The engine samples the posterior itself, untempered (T = 1): a move
+    that changes the log target by delta is accepted when log(u) < delta."""
 
     def test_identity_at_one(self):
-        got, want = self.decisions(1.0, -0.7)
+        set_a, set_b = small_pair()
+        engine = PairEngine.for_pair(set_a, set_b, MODEL, quick_hyper())
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = [engine._accept(rng, -0.7) for _ in range(2_000)]
+        want = [math.log(ref.uniform()) < -0.7 for _ in range(2_000)]
         assert got == want
-
-    def test_halved_at_two(self):
-        got, want = self.decisions(2.0, -1.0)
-        assert got == want
-        assert abs(np.mean(got) - np.exp(-0.5)) < 0.03
-
-    def test_bad_temperature(self):
-        for start, end in ((1.0, 0.0), (-1.0, 1.0)):
-            with pytest.raises(ConfigurationError):
-                quick_hyper(annealing_schedule=LinearSchedule(start, end, 10))
 
 
 class TestLinearSchedule:
@@ -190,12 +174,13 @@ class TestMhSteps:
         hyper = quick_hyper(proposal_sd_rotation=0.0, proposal_sd_translation=0.0)
         engine = PairEngine.for_pair(set_a, set_b, MODEL, hyper)
         rng = np.random.default_rng(0)
-        state = engine.evaluate(
+        engine.install_state(
             RigidTransform.identity(2),
             np.ones(set_a.k, bool),
             np.ones(set_b.k, bool),
             tau=5.0,
         )
+        state = engine.snapshot()
         for block in ("rotation", "translation"):
             assert engine.step_rigid(rng, block)
             assert abs(engine.snapshot().log_posterior - state.log_posterior) < 1e-9
@@ -238,7 +223,8 @@ class TestMhSteps:
         )
         engine = PairEngine.for_pair(set_a, set_b, MODEL, hyper)
         for state in (res.map_state, res.final_state):
-            redo = engine.evaluate(state.transform, state.mask_a, state.mask_b, state.tau)
+            engine.install_state(state.transform, state.mask_a, state.mask_b, state.tau)
+            redo = engine.snapshot()
             assert abs(redo.log_posterior - state.log_posterior) < 1e-9
             assert abs(redo.carbo.dissimilarity - state.carbo.dissimilarity) < 1e-12
 
@@ -251,7 +237,8 @@ class TestMhSteps:
         mask_b = rng.random(set_b.k) < 0.7
         mask_a[0] = mask_b[0] = True
         t = RigidTransform([0.2, -0.1, 0.4], [0.05, 0.0, -0.1])
-        state = engine.evaluate(t, mask_a, mask_b, tau=3.0)
+        engine.install_state(t, mask_a, mask_b, tau=3.0)
+        state = engine.snapshot()
         fa = build_field(set_a, mask=mask_a, model=MODEL)
         fb = build_field(set_b, mask=mask_b, model=MODEL)
         direct = partial_carbo(fa, fb, t)
@@ -448,52 +435,13 @@ class TestRunPairwiseAlignment:
         assert np.isfinite(res.plug_in_distance)
         # recomputation consistency holds under the alternative likelihood
         engine = PairEngine.for_pair(set_a, set_b, MODEL, hyper)
-        redo = engine.evaluate(
+        engine.install_state(
             res.map_state.transform,
             res.map_state.mask_a,
             res.map_state.mask_b,
             res.map_state.tau,
         )
-        assert abs(redo.log_posterior - res.map_state.log_posterior) < 1e-9
-
-    def test_annealed_run_smoke_and_determinism(self):
-        set_a, set_b = small_pair(seed=53)
-        hyper = quick_hyper(
-            n_iterations=200,
-            burn_in=40,
-            annealing_schedule=LinearSchedule(3.0, 1.0, 100),
-        )
-        init = InitSpec(rotation_range=0.2, translation_range=0.05)
-        r1 = run_pairwise_alignment(set_a, set_b, MODEL, hyper, init, 8)
-        r2 = run_pairwise_alignment(set_a, set_b, MODEL, hyper, init, 8)
-        assert np.array_equal(r1.traces, r2.traces)
-        assert np.isfinite(r1.plug_in_distance)
-
-    def test_cold_temperature_rejects_downhill(self):
-        # with T -> 0 any posterior-decreasing move is rejected, so the
-        # running log posterior is monotone over rigid blocks
-        set_a, set_b = small_pair(seed=59)
-        hyper = quick_hyper(
-            n_iterations=150,
-            burn_in=10,
-            update_masks=False,
-            update_tau=False,
-            tau_init=5.0,
-            annealing_schedule=LinearSchedule(1e-8, 1e-8, 2),
-        )
-        engine = PairEngine.for_pair(set_a, set_b, MODEL, hyper)
-        rng = np.random.default_rng(4)
-        engine.prepare_attempt()
-        engine.install_state(
-            RigidTransform.identity(2), np.ones(set_a.k, bool), np.ones(set_b.k, bool), 5.0
-        )
-        last = engine.log_posterior
-        for i in range(1, 101):
-            engine.begin_iteration(i)
-            engine.step_rigid(rng, "rotation")
-            engine.step_rigid(rng, "translation")
-            assert engine.log_posterior >= last - 1e-9
-            last = engine.log_posterior
+        assert abs(engine.snapshot().log_posterior - res.map_state.log_posterior) < 1e-9
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -505,3 +453,22 @@ class TestRunPairwiseAlignment:
             quick_hyper(restart_check_iter=50)  # threshold missing
         with pytest.raises(ConfigurationError):
             quick_hyper(update_tau=False)  # tau_init missing
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"alpha": nan}, {"beta": inf}, {"zeta": nan}, {"zeta_i": inf},
+            {"proposal_sd_rotation": nan}, {"proposal_sd_translation": inf},
+            {"proposal_sd_translation": -0.1}, {"escape_scale": nan},
+            {"escape_scale": 0.0}, {"max_restarts": -3},
+            {"restart_check_iter": 50, "restart_threshold": nan},
+        ):
+            with pytest.raises(ConfigurationError):
+                quick_hyper(**bad)
+        for bad in (
+            {"rotation_range": nan}, {"rotation_range": -0.1},
+            {"translation_range": inf}, {"mask_p": nan}, {"mask_p": 1.5},
+        ):
+            with pytest.raises(ConfigurationError):
+                InitSpec(**bad)
+        # the edges stay valid
+        quick_hyper(proposal_sd_rotation=0.0, zeta=0.0, max_restarts=0)
+        InitSpec(rotation_range=0.0, translation_range=0.0, mask_p=1.0)

@@ -1,6 +1,7 @@
 """The package's public surface is pinned: adding or removing a name has
 to change this list on purpose."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -31,6 +32,25 @@ def test_all_is_pinned():
     assert set(fieldalign.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(fieldalign, name), name
+
+
+# every sampler setting; a new knob has to be added here on purpose
+HYPERPARAMETER_FIELDS = (
+    "alpha", "beta", "proposal_sd_rotation", "proposal_sd_translation", "n_iterations",
+    "zeta", "zeta_i", "neighbor_delta", "escape_period", "escape_scale",
+    "restart_threshold", "restart_check_iter", "max_restarts", "burn_in", "thin",
+    "likelihood_kind", "range_schedule", "weight_schedule", "weight_q", "update_masks",
+    "update_tau", "tau_init",
+)
+INIT_SPEC_FIELDS = ("rotation_range", "translation_range", "haar_rotation", "mask_p")
+
+
+def test_sampler_settings_are_pinned():
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(fieldalign.Hyperparameters) == HYPERPARAMETER_FIELDS
+    assert names(fieldalign.InitSpec) == INIT_SPEC_FIELDS
 
 
 def test_readme_quick_start_import_resolves():
