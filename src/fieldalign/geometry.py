@@ -41,7 +41,16 @@ def wrap_angles(euler) -> np.ndarray:
 
 def euler_in_domain(euler) -> bool:
     """True when every angle lies in [-pi, pi] (NaN never does)."""
-    return bool((np.abs(np.asarray(euler, dtype=float)) <= np.pi).all())
+    return all(abs(a) <= math.pi for a in np.asarray(euler, dtype=float).ravel().tolist())
+
+
+def _domain_angles(euler) -> list[float]:
+    """The angles as a list of floats; AngleDomainError unless each lies
+    in [-pi, pi]."""
+    e = np.atleast_1d(np.asarray(euler, dtype=float))
+    if not euler_in_domain(e):
+        raise AngleDomainError(f"angles {e} outside [-pi, pi]")
+    return e.tolist()
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -116,8 +125,7 @@ class RigidTransform:
                 f"expected {n_euler_angles(m)} angles for dimension {m}, "
                 f"got {euler.shape[0]}"
             )
-        if not euler_in_domain(euler):
-            raise AngleDomainError(f"angles {euler} outside [-pi, pi]")
+        _domain_angles(euler)
         if not np.all(np.isfinite(translation)):
             raise ValueError("translation must be finite")
         object.__setattr__(self, "euler", _readonly(euler))
@@ -159,10 +167,7 @@ def rotation_matrix(euler) -> np.ndarray:
     m=3 uses Gamma = Rz(theta3) Rx(theta2) Rz(theta1); m=2 is the standard
     planar rotation.  Angles outside [-pi, pi] raise AngleDomainError.
     """
-    e = np.atleast_1d(np.asarray(euler, dtype=float))
-    if not euler_in_domain(e):
-        raise AngleDomainError(f"angles {e} outside [-pi, pi]")
-    t = e.tolist()
+    t = _domain_angles(euler)
     if len(t) == 1:
         c, s = math.cos(t[0]), math.sin(t[0])
         return np.array([[c, -s], [s, c]])
@@ -170,11 +175,11 @@ def rotation_matrix(euler) -> np.ndarray:
         c1, s1 = math.cos(t[0]), math.sin(t[0])
         c2, s2 = math.cos(t[1]), math.sin(t[1])
         c3, s3 = math.cos(t[2]), math.sin(t[2])
-        rz1 = np.array([[c1, s1, 0.0], [-s1, c1, 0.0], [0.0, 0.0, 1.0]])
-        rx2 = np.array([[1.0, 0.0, 0.0], [0.0, c2, s2], [0.0, -s2, c2]])
-        rz3 = np.array([[c3, s3, 0.0], [-s3, c3, 0.0], [0.0, 0.0, 1.0]])
+        rz1 = np.array([c1, s1, 0.0, -s1, c1, 0.0, 0.0, 0.0, 1.0]).reshape(3, 3)
+        rx2 = np.array([1.0, 0.0, 0.0, 0.0, c2, s2, 0.0, -s2, c2]).reshape(3, 3)
+        rz3 = np.array([c3, s3, 0.0, -s3, c3, 0.0, 0.0, 0.0, 1.0]).reshape(3, 3)
         return rz3 @ rx2 @ rz1
-    raise DimensionError(f"expected 1 or 3 Euler angles, got {e.shape[0]}")
+    raise DimensionError(f"expected 1 or 3 Euler angles, got {len(t)}")
 
 
 def recover_euler(matrix) -> np.ndarray:
@@ -224,15 +229,13 @@ def euler_prior_log_density(euler) -> float:
     log cos(theta2) for theta2 in (-pi/2, pi/2) and is -inf at the
     theta2 = +-pi/2 singularities.
     """
-    e = np.atleast_1d(np.asarray(euler, dtype=float))
-    if not euler_in_domain(e):
-        raise AngleDomainError(f"angles {e} outside [-pi, pi]")
-    if e.shape[0] == 1:
+    t = _domain_angles(euler)
+    if len(t) == 1:
         return 0.0
-    if e.shape[0] == 3:
-        c = abs(math.cos(e[1]))
+    if len(t) == 3:
+        c = abs(math.cos(t[1]))
         return math.log(c) if c >= _GIMBAL_EPS else -np.inf
-    raise DimensionError(f"expected 1 or 3 Euler angles, got {e.shape[0]}")
+    raise DimensionError(f"expected 1 or 3 Euler angles, got {len(t)}")
 
 
 def rmsd(a, b) -> float:

@@ -75,7 +75,7 @@ class GpaConfig:
     def __post_init__(self):
         if self.max_passes < 1:
             raise ValueError("at least one leave-one-out pass is required")
-        if self.tol < 0:
+        if not self.tol >= 0:  # NaN too; inf stops after one pass
             raise ValueError("tol must be nonnegative")
 
 

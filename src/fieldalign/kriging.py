@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .covariance import CovarianceModel, gram_cholesky, kernel_cross
 from .geometry import MarkedPointSet, RigidTransform, apply_transform
@@ -26,12 +26,25 @@ class DegenerateFieldError(ValueError):
 
 # squared RKHS norms at or below this count as zero
 _NORM_SQ_FLOOR = 1e-300
+# matrix entries per triangular solve; OpenBLAS solves blocks up to about this
+# size on the calling thread.  Larger solves wake its helper threads, which
+# then spin between the frequent rebuilds and take the cores of concurrent
+# chains (two pool workers on two cores ran at half speed).
+_SOLVE_BLOCK_ENTRIES = 1000
 
 
 def solve_weights(gram_chol_lower: np.ndarray, marks) -> np.ndarray:
-    """Solve Sigma w = z given the lower Cholesky factor of Sigma."""
-    z = np.asarray(marks, dtype=float)
-    return cho_solve((gram_chol_lower, True), z)
+    """Solve Sigma w = z given the lower Cholesky factor of Sigma; marks may
+    hold several right-hand sides as columns.  LAPACK dpotrs solves a
+    Fortran-ordered copy in place, at most _SOLVE_BLOCK_ENTRIES entries per
+    call; each column is contiguous, so w'z sums as on a plain vector."""
+    x = np.array(marks, dtype=float, order="F")
+    cols = x.reshape(x.shape[0], -1, order="F")  # a view, (n,) -> (n, 1)
+    chol = np.asfortranarray(gram_chol_lower)
+    step = max(1, _SOLVE_BLOCK_ENTRIES // x.shape[0])
+    for i in range(0, cols.shape[1], step):
+        dpotrs(chol, cols[:, i:i + step], lower=1, overwrite_b=1)
+    return x
 
 
 def kriging_solve(
@@ -39,16 +52,25 @@ def kriging_solve(
     coords,
     marks,
     gram: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, np.ndarray, float]:
+    inverse: bool = False,
+) -> tuple[float, np.ndarray, float, np.ndarray | None]:
     """Solve Sigma w = z on the given points (optionally from their
-    precomputed jitter-free Gram matrix): returns the Cholesky factor of
-    Sigma, the jitter it needed, w and the squared RKHS norm w'z."""
-    chol, used = gram_cholesky(model, coords, gram=gram)
-    weights = solve_weights(chol, marks)
-    norm_sq = float(weights @ marks)
+    precomputed jitter-free Gram matrix): returns the jitter Sigma needed,
+    w, the squared RKHS norm w'z and, with inverse=True, Sigma^-1 from the
+    same solve on [z | I] (else None)."""
+    chol, jitter = gram_cholesky(model, coords, gram=gram)
+    z = np.asarray(marks, dtype=float)
+    if inverse:
+        rhs = np.eye(z.shape[0], z.shape[0] + 1, 1)
+        rhs[:, 0] = z
+        x = solve_weights(chol, rhs)
+        weights, inv = x[:, 0], x[:, 1:]
+    else:
+        weights, inv = solve_weights(chol, z), None
+    norm_sq = float(weights @ z)
     if norm_sq <= _NORM_SQ_FLOOR:
         raise DegenerateFieldError("masked field has zero RKHS norm")
-    return chol, used, weights, norm_sq
+    return jitter, weights, norm_sq, inv
 
 
 def kernel_sum(model: CovarianceModel, centers, coeffs, x) -> float | np.ndarray:
@@ -128,5 +150,5 @@ def build_field(
         raise ValueError("mask length must equal the number of points")
     if not mask.any():
         raise EmptyFieldError("all points are masked out")
-    _, _, weights, norm_sq = kriging_solve(model, points.coords[mask], points.marks[mask])
+    _, weights, norm_sq, _ = kriging_solve(model, points.coords[mask], points.marks[mask])
     return PredictedField(points.coords, mask, weights, model, float(np.sqrt(norm_sq)))

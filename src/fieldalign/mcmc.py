@@ -19,7 +19,8 @@ symmetric rank-1 term.  The Carbo inner product of a proposal is one dot
 product with the cached cross product of the other set's coefficients.
 A full refactorization runs when a state is installed, when the kernel
 range changes, after every _REBUILD_PERIOD accepted flips of a set (to bound
-rounding drift) and for a flip whose pivot is not safely positive.
+rounding drift) and for a flip whose pivot is not safely positive: a Cholesky
+factorization, then LAPACK dpotrs on [z | I] gives w and P in one solve.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 from .analysis import write_table
@@ -59,11 +59,7 @@ HALF_NORMAL = "half_normal"
 _REBUILD_PERIOD = 64
 # relative pivot below which a flip is refactorized instead of updated
 _SCHUR_FLOOR = 1e-6
-# matrix entries per triangular solve when forming an inverse; OpenBLAS solves
-# blocks up to about this size on the calling thread.  Larger solves wake its
-# helper threads, which then spin between the frequent rebuilds and take the
-# cores of concurrent chains (two pool workers on two cores ran at half speed).
-_SOLVE_BLOCK_ENTRIES = 1000
+_LOG2 = math.log(2.0)
 
 
 class ConfigurationError(ValueError):
@@ -131,6 +127,10 @@ class Hyperparameters:
             raise ConfigurationError("escape_scale must be positive and finite")
         if self.max_restarts < 0:
             raise ConfigurationError("max_restarts must be nonnegative")
+        if not (self.neighbor_delta is None or 0 <= self.neighbor_delta < math.inf):
+            raise ConfigurationError("neighbor_delta must be nonnegative and finite")
+        if not (self.escape_period is None or self.escape_period >= 1):
+            raise ConfigurationError("escape_period must be at least 1")
         if self.n_iterations < 1:
             raise ConfigurationError("n_iterations must be positive")
         if self.burn_in is not None and not 0 <= self.burn_in < self.n_iterations:
@@ -274,8 +274,20 @@ def _pow_log(base: float, exponent: float) -> float:
     return exponent * math.log(base)
 
 
+def _logaddexp(x: float, y: float) -> float:
+    # np.logaddexp of two floats by numpy's own formula (npy_logaddexp)
+    if x == y:
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp  # NaN
+
+
 def _mask_log_prior_exponents(zeta: float, zeta_i: float, total: float, boundary: float) -> float:
-    return float(np.logaddexp(_pow_log(zeta, total), _pow_log(zeta_i, boundary)))
+    return _logaddexp(_pow_log(zeta, total), _pow_log(zeta_i, boundary))
 
 
 def neighbor_pairs(coords, delta: float) -> np.ndarray:
@@ -402,31 +414,19 @@ class _Kriged:
         self.pending = None
 
 
-def _cholesky_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverse of L L' from its lower Cholesky factor, solved a block of
-    columns at a time so that no solve exceeds _SOLVE_BLOCK_ENTRIES."""
-    n = chol.shape[0]
-    eye = np.eye(n)
-    out = np.empty((n, n))
-    step = max(1, _SOLVE_BLOCK_ENTRIES // n)
-    for i in range(0, n, step):
-        cols = slice(i, i + step)
-        out[:, cols] = cho_solve((chol, True), eye[:, cols], check_finite=False)
-    return out
-
-
 def _factor_side(model: CovarianceModel, coords, gram, marks, mask) -> _Kriged:
     """Full kriging solve of a masked set from its cached full Gram matrix;
-    raises DegenerateFieldError when the RKHS norm vanishes."""
+    raises DegenerateFieldError when the RKHS norm vanishes.  inv is
+    scattered into a C-ordered matrix: a matrix-vector product sums in
+    another order on a Fortran-ordered one."""
     act = np.flatnonzero(mask)
     block = np.ix_(act, act)
-    chol, jitter, w_act, norm_sq = kriging_solve(
-        model, coords[act], marks[act], gram=gram[block]
+    jitter, w_act, norm_sq, inv_act = kriging_solve(
+        model, coords[act], marks[act], gram=gram[block], inverse=True
     )
     k = mask.shape[0]
     w = np.zeros(k)
     w[act] = w_act
-    inv_act = _cholesky_inverse(chol)
     inv = np.zeros((k, k))
     inv[block] = 0.5 * (inv_act + inv_act.T)
     return _Kriged(w, inv, math.sqrt(norm_sq), jitter)
@@ -529,7 +529,7 @@ class PairEngine:
         # current state
         self.euler = np.zeros(n_euler_angles(self.m))
         self.translation = np.zeros(self.m)
-        self.gmat = np.eye(self.m)
+        self._rot_b = self.coords_b  # B rotated by the current matrix
         self.mask_a: np.ndarray | None = None
         self.mask_b: np.ndarray | None = None
         self.tau = 1.0
@@ -599,9 +599,6 @@ class PairEngine:
         )
 
     # -- internal recomputation ------------------------------------------
-
-    def _cross_dists(self, gmat: np.ndarray, translation: np.ndarray) -> np.ndarray:
-        return cdist(self.coords_a, self.coords_b @ gmat.T + translation)
 
     def _similarity(self, coeff: np.ndarray, proj: np.ndarray):
         # Carbo inner product of padded coefficients with a cached cross
@@ -685,9 +682,9 @@ class PairEngine:
     def _set_pose(self, transform: RigidTransform):
         self.euler = wrap_angles(transform.euler)
         self.translation = np.array(transform.translation, dtype=float)
-        self.gmat = transform.matrix
         self.lp_euler = euler_prior_log_density(self.euler)
-        self._dcross = self._cross_dists(self.gmat, self.translation)
+        self._rot_b = self.coords_b @ transform.matrix.T
+        self._dcross = cdist(self.coords_a, self._rot_b + self.translation)
 
     def _use_rho(self, rho: float):
         self.rho_current = rho
@@ -792,12 +789,12 @@ class PairEngine:
     def _accept(self, rng: np.random.Generator, delta: float) -> bool:
         # symmetric proposals: accept with min(1, exp(delta))
         if delta == -np.inf:
-            rng.uniform()
+            rng.random()
             return False
         if self.log_lik == -np.inf and delta == np.inf:
-            rng.uniform()
+            rng.random()
             return True
-        return math.log(rng.uniform()) < delta
+        return math.log(rng.random()) < delta
 
     def _metropolis(
         self, rng: np.random.Generator, block: str, sims_new: list[float],
@@ -827,18 +824,18 @@ class PairEngine:
             euler = wrap_angles(self.euler + self.hyper.proposal_sd_rotation * scale * step)
             translation = self.translation
             lp_euler = euler_prior_log_density(euler)
-            gmat = rotation_matrix(euler)
+            rot_b = self.coords_b @ rotation_matrix(euler).T
         elif block == "translation":
             step = rng.standard_normal(self.m)
-            euler, gmat, lp_euler = self.euler, self.gmat, self.lp_euler
+            euler, lp_euler, rot_b = self.euler, self.lp_euler, self._rot_b
             translation = self.translation + self.hyper.proposal_sd_translation * scale * step
         else:
             raise ValueError(f"unknown rigid block {block!r}")
-        dcross = self._cross_dists(gmat, translation)
+        dcross = cdist(self.coords_a, rot_b + translation)
         cross, sims = self._cross_terms(dcross)
         if not self._metropolis(rng, block, sims, lp_euler, self.lp_euler):
             return False
-        self.euler, self.translation, self.gmat = euler, translation, gmat
+        self.euler, self.translation, self._rot_b = euler, translation, rot_b
         self.lp_euler = lp_euler
         self._install_cross(dcross, cross, sims)
         self._sum_log_posterior()

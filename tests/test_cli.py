@@ -539,7 +539,16 @@ class TestErrorExitCodes:
     def test_bad_pair_sampler_setting(self, tmp_path, capsys, setting):
         self.check(capsys, pair_args(tmp_path, setting), 2, "configuration error:")
 
-    @pytest.mark.parametrize("setting", ["step1_alpha=nan", "refine_translation_sd=nan"])
+    @pytest.mark.parametrize("setting", ["neighbor_delta=nan", "neighbor_delta=-1"])
+    def test_bad_neighbor_delta(self, tmp_path, capsys, setting):
+        # the neighbour term is on, so a delta that finds no pairs would drop it
+        args = pair_args(tmp_path, "zeta_interaction=0.5", setting)
+        self.check(capsys, args, 2, "configuration error:")
+
+    def test_negative_escape_period(self, tmp_path, capsys):
+        self.check(capsys, pair_args(tmp_path, "escape_period=-3"), 2, "configuration error:")
+
+    @pytest.mark.parametrize("setting", ["step1_alpha=nan", "refine_translation_sd=nan", "tol=nan"])
     def test_bad_gpa_sampler_setting(self, tmp_path, capsys, setting):
         args = ["gpa", "--set", f"molecules={DATA}", "--set", setting, "--out-dir", tmp_path]
         self.check(capsys, args, 2, "configuration error:")

@@ -34,17 +34,17 @@ def solve_with_gram(z, gram):
 class TestKrigingWeights:
     def test_identity_gram(self):
         z = np.array([1.0, -2.0, 0.5])
-        chol, jitter, w, norm_sq = solve_with_gram(z, np.eye(3))
-        assert np.allclose(w, z) and jitter == 0.0
+        jitter, w, norm_sq, inv = solve_with_gram(z, np.eye(3))
+        assert np.allclose(w, z) and jitter == 0.0 and inv is None
         assert abs(norm_sq - z @ z) < 1e-14
 
     def test_two_by_two_hand_solve(self):
         gram = np.array([[1.0, 0.5], [0.5, 1.0]])
-        _, _, w, _ = solve_with_gram([1.0, 1.0], gram)
+        _, w, _, _ = solve_with_gram([1.0, 1.0], gram)
         assert np.allclose(w, [2.0 / 3.0, 2.0 / 3.0], atol=1e-14)
 
     def test_single_point(self):
-        _, _, w, norm_sq = solve_with_gram([5.0], [[1.0]])
+        _, w, norm_sq, _ = solve_with_gram([5.0], [[1.0]])
         assert np.allclose(w, [5.0]) and norm_sq == 25.0
 
     def test_singular_gram_raises(self):
@@ -61,11 +61,11 @@ class TestKrigingWeights:
         pts = rng.uniform(0, 1, (15, 3))
         gram = gram_matrix(MODEL, pts)
         z = rng.standard_normal(15)
-        chol, _, w, _ = kriging_solve(MODEL, pts, z)
+        _, w, _, _ = kriging_solve(MODEL, pts, z)
         resid = np.max(np.abs(gram @ w - z))
         assert resid < 1e-8 * np.max(np.abs(z))
         # a precomputed Gram matrix gives the same solve bit for bit
-        _, _, w_cached, _ = kriging_solve(MODEL, pts, z, gram=gram)
+        _, w_cached, _, _ = kriging_solve(MODEL, pts, z, gram=gram)
         assert np.array_equal(w, w_cached)
 
 

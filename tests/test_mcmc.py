@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fieldalign import mcmc
 from fieldalign.covariance import MATERN, CovarianceModel
 from fieldalign.geometry import (
     MarkedPointSet,
@@ -109,6 +110,20 @@ class TestMaskLogPrior:
         assert np.isfinite(v)
         assert abs(v - 120 * np.log(90.0)) < 1e-6
 
+    def test_scalar_logaddexp_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-800.0, 800.0, 200_000)
+        y = x + rng.choice([1.0, 1e-12, 30.0, 1e3], x.size) * rng.standard_normal(x.size)
+        y[::7] = x[::7]  # equal arguments
+        x[::11] = -np.inf
+        y[::13] = -np.inf
+        x[::17], y[::17] = np.inf, -np.inf
+        x[::19] = y[::19] = np.inf
+        got = np.array([mcmc._logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())])
+        want = np.array([np.logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert math.isnan(mcmc._logaddexp(math.nan, 1.0))
+
 
 class TestGibbsTau:
     def test_conjugate_means_quick(self):
@@ -138,6 +153,17 @@ class TestGibbsTau:
         )
         expect = 10.5 / 0.3  # shape alpha + 1/2, rate D^2 + beta
         assert abs(draws.mean() - expect) / expect < 0.05
+
+
+def test_random_draws_the_stream_of_uniform():
+    # PairEngine._accept draws rng.random(), the cheaper spelling of
+    # rng.uniform(): same values, same generator state afterwards
+    a, b = np.random.default_rng(42), np.random.default_rng(42)
+    for _ in range(10_000):
+        ua, ub = a.uniform(), b.random()
+        assert ua == ub and math.copysign(1.0, ua) == math.copysign(1.0, ub)
+        assert a.standard_normal() == b.standard_normal()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestAnnealedTarget:
@@ -460,6 +486,8 @@ class TestRunPairwiseAlignment:
             {"proposal_sd_translation": -0.1}, {"escape_scale": nan},
             {"escape_scale": 0.0}, {"max_restarts": -3},
             {"restart_check_iter": 50, "restart_threshold": nan},
+            {"neighbor_delta": nan}, {"neighbor_delta": -1.0}, {"neighbor_delta": inf},
+            {"escape_period": -3}, {"escape_period": 0},
         ):
             with pytest.raises(ConfigurationError):
                 quick_hyper(**bad)
@@ -470,5 +498,6 @@ class TestRunPairwiseAlignment:
             with pytest.raises(ConfigurationError):
                 InitSpec(**bad)
         # the edges stay valid
-        quick_hyper(proposal_sd_rotation=0.0, zeta=0.0, max_restarts=0)
+        quick_hyper(proposal_sd_rotation=0.0, zeta=0.0, max_restarts=0,
+                    neighbor_delta=0.0, escape_period=1)
         InitSpec(rotation_range=0.0, translation_range=0.0, mask_p=1.0)

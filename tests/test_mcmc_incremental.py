@@ -5,16 +5,25 @@ norm, inverse of the active Gram block, Carbo inner product) must equal
 what `build_field` computes from scratch on the gathered active set.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from fieldalign import mcmc
-from fieldalign.covariance import MATERN, CovarianceModel, kernel_cross
+from fieldalign import kriging, mcmc
+from fieldalign.covariance import (
+    GAUSSIAN,
+    MATERN,
+    CovarianceModel,
+    gram_cholesky,
+    gram_matrix,
+    kernel_cross,
+)
 from fieldalign.geometry import MarkedPointSet, RigidTransform, apply_transform
-from fieldalign.kriging import build_field
+from fieldalign.kriging import build_field, kriging_solve
 from fieldalign.mcmc import Hyperparameters, PairEngine
 
 MODELS = (CovarianceModel(MATERN, rho=0.3, nu=0.5), CovarianceModel(MATERN, rho=0.5, nu=0.5))
@@ -218,12 +227,78 @@ def test_mask_prior_follows_flips_with_neighbor_term():
 
 @pytest.mark.parametrize("n", [1, 11, 12, 13, 47, 84, 130])
 def test_blockwise_cholesky_inverse_matches_one_solve(n):
+    # solve_weights solves a block of columns at a time (several from n = 47)
     rng = np.random.default_rng(n)
     x = rng.uniform(0.0, 1.0, (n, 2))
     chol = np.linalg.cholesky(kernel_cross(MODELS[0], x, x) + 1e-8 * np.eye(n))
     want = cho_solve((chol, True), np.eye(n))
-    np.testing.assert_allclose(mcmc._cholesky_inverse(chol), want,
+    np.testing.assert_allclose(kriging.solve_weights(chol, np.eye(n)), want,
                                rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def plain_factor_side(model, coords, gram, marks, mask):
+    """The refactorization as separate solves: Cholesky with the jitter
+    ladder, cho_solve for w, cho_solve on the identity a block of columns
+    at a time, then the norm from float(w @ z)."""
+    act = np.flatnonzero(mask)
+    block = np.ix_(act, act)
+    chol, jitter = gram_cholesky(model, coords[act], gram=gram[block])
+    z = marks[act]
+    w_act = cho_solve((chol, True), z)
+    n = act.size
+    eye = np.eye(n)
+    inv_act = np.empty((n, n))
+    step = max(1, kriging._SOLVE_BLOCK_ENTRIES // n)
+    for i in range(0, n, step):
+        inv_act[:, i:i + step] = cho_solve((chol, True), eye[:, i:i + step], check_finite=False)
+    w = np.zeros(mask.size)
+    w[act] = w_act
+    inv = np.zeros((mask.size, mask.size))
+    inv[block] = 0.5 * (inv_act + inv_act.T)
+    return w, inv, float(w_act @ z), jitter
+
+
+SOLVE_MODELS = {
+    "exponential": CovarianceModel(MATERN, rho=0.3, nu=0.5),
+    "matern32": CovarianceModel(MATERN, rho=0.3, nu=1.5),
+    "gaussian": CovarianceModel(GAUSSIAN, rho=0.4),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(SOLVE_MODELS))
+@pytest.mark.parametrize("full", [True, False], ids=["full", "partial"])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 47, 84, 130])
+def test_one_solve_matches_separate_solves(n, full, kernel):
+    # one dpotrs on [z | I], in blocks of at most _SOLVE_BLOCK_ENTRIES
+    # entries (one block at n = 31, several above), bit for bit
+    model = SOLVE_MODELS[kernel]
+    rng = np.random.default_rng(n)
+    k = n if full else n + 3
+    coords = rng.uniform(0.0, 1.0, (k, 2))
+    marks = rng.standard_normal(k)
+    mask = np.ones(k, bool)
+    if not full:
+        mask[rng.permutation(k)[:3]] = False
+    gram = gram_matrix(model, coords)
+    got = mcmc._factor_side(model, coords, gram, marks, mask)
+    w, inv, norm_sq, jitter = plain_factor_side(model, coords, gram, marks, mask)
+    assert np.array_equal(got.w, w) and np.array_equal(got.inv, inv)
+    assert got.norm == math.sqrt(norm_sq) and got.jitter == jitter
+    assert got.inv.flags.c_contiguous
+    # build_field's solve, without the inverse
+    jitter_f, w_f, norm_sq_f, inv_f = kriging_solve(
+        model, coords[mask], marks[mask], gram=gram[np.ix_(mask, mask)]
+    )
+    assert np.array_equal(w_f, w[mask]) and norm_sq_f == norm_sq
+    assert jitter_f == jitter and inv_f is None
+
+
+def test_one_solve_covers_the_jitter_ladder():
+    # the Gaussian Gram at n = 130 needs a diagonal shift
+    model = SOLVE_MODELS["gaussian"]
+    coords = np.random.default_rng(130).uniform(0.0, 1.0, (130, 2))
+    gram = gram_matrix(model, coords)
+    assert mcmc._factor_side(model, coords, gram, np.ones(130), np.ones(130, bool)).jitter > 0
 
 
 def rng_proposing(k, idx):
