@@ -74,6 +74,11 @@ def runs() -> list[tuple[str, list[str]]]:
             "simulate", "--profile", "sim2d-setting1", "--workers", "2", "--seed", "14",
             "--set=iterations=1500", "--set=n_fields=1", "--set=zeta_subsample=true",
         ]),
+        # setting 2, several fields and the full zeta grid
+        ("simulate-sim2d-setting2", [
+            "simulate", "--profile", "sim2d-setting2", "--workers", "2", "--seed", "18",
+            "--set=n_fields=2", "--set=zetas=10,90", "--set=iterations=300",
+        ]),
         ("simulate-sim3d", [
             "simulate", "--profile", "sim3d", "--workers", "2", "--seed", "15",
             "--set=replications=2", "--set=iterations=1000",

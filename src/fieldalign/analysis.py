@@ -53,7 +53,6 @@ class DistanceMatrix:
     """Symmetric nonnegative matrix with zero diagonal."""
 
     values: np.ndarray
-    kind: str = "map"
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -84,7 +83,7 @@ class DistanceMatrix:
         write_matrix(path, self.labels, self.values, header_lines)
 
     @classmethod
-    def load(cls, path, kind: str = "map") -> "DistanceMatrix":
+    def load(cls, path) -> "DistanceMatrix":
         """Read what save writes; a malformed file raises DistanceError
         naming the file (and the line, where one line is at fault)."""
         with open(path) as fh:
@@ -108,7 +107,7 @@ class DistanceMatrix:
                     f"{path}:{lineno}: {len(rows[-1])} distances for {len(labels)} labels"
                 )
         try:
-            return cls(np.array(rows), kind=kind, labels=labels)
+            return cls(np.array(rows), labels=labels)
         except DistanceError as err:
             raise DistanceError(f"{path}: {err}") from None
 

@@ -123,7 +123,6 @@ _SCHEMAS: dict[str, dict] = {
     },
     "cluster": {
         "distances": (str, _REQUIRED),
-        "kind": (str, "map"),
     },
     "tfield": {
         "molecules": (str, _REQUIRED),
@@ -480,6 +479,8 @@ def _gpa_config_to_objects(config):
 def cmd_gpa(config, out_dir: Path) -> int:
     molecules = _read_molecules(config["molecules"])
     names = [name for name, _ in molecules]
+    if len(molecules) < 2:
+        raise ConfigError("gpa needs at least two molecules")
     channel_idx = {"charge": 0, "steric": 1}.get(config["channel"])
     if channel_idx is None:
         raise ConfigError("gpa channel must be 'charge' or 'steric'")
@@ -505,7 +506,7 @@ def cmd_gpa(config, out_dir: Path) -> int:
 
 
 def cmd_cluster(config, out_dir: Path) -> int:
-    matrix = analysis.DistanceMatrix.load(config["distances"], kind=config["kind"])
+    matrix = analysis.DistanceMatrix.load(config["distances"])
     dendrogram = analysis.ward_cluster(matrix)
     dendrogram.save(out_dir / "merges.tsv", header_lines=_artifact_comments(config))
     with open(out_dir / "dendrogram.newick", "w") as fh:
@@ -513,9 +514,17 @@ def cmd_cluster(config, out_dir: Path) -> int:
     return 0
 
 
-def _load_gpa_result(path) -> dict:
+def _load_gpa_result(path, *keys) -> dict:
+    """A gpa.json-like object holding "molecules" and the given keys."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            result = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise CliIOError(f"{path}: not a JSON file ({err})") from None
+    missing = [k for k in ("molecules", *keys) if not isinstance(result, dict) or k not in result]
+    if missing:
+        raise CliIOError(f"{path}: no {', '.join(missing)} in the GPA result")
+    return result
 
 
 @_config_values
@@ -532,7 +541,7 @@ def cmd_tfield(config, out_dir: Path) -> int:
     if channel_idx is None:
         raise ConfigError("tfield channel must be 'charge' or 'steric'")
     model = _kernel_model(config["kernel"], config["rho"], config["nu"])
-    overall = _load_gpa_result(config["transforms_from"])
+    overall = _load_gpa_result(config["transforms_from"], "transforms")
     transforms = {}
     for name, tdict in zip(overall["molecules"], overall["transforms"]):
         transforms[name] = RigidTransform(
@@ -540,7 +549,7 @@ def cmd_tfield(config, out_dir: Path) -> int:
         )
 
     def group_fields(group_path):
-        group = _load_gpa_result(group_path)
+        group = _load_gpa_result(group_path, "masks")
         fields = []
         coords = []
         for name, mask in zip(group["molecules"], group["masks"]):
@@ -587,42 +596,32 @@ def cmd_simulate(config, out_dir: Path) -> int:
     if config["replications"] < 1 or config["n_fields"] < 1:
         raise ConfigError("replications and n_fields must be positive")
     if scenario in ("setting1", "setting2"):
-        zetas = [_parse_value(z, float) for z in config["zetas"].split(",") if z]
-        records = simulation.run_success_study(
-            scenario,
-            replications=config["replications"],
-            hyper_grid=zetas,
-            rng_seed=config["seed"],
-            workers=max(1, config["workers"]),
-            n_iterations=n_iterations,
-            n_fields=config["n_fields"],
-            zeta_subsample=config["zeta_subsample"],
-        )
-        summary = simulation.aggregate_table1(records)
+        grid = [_parse_value(z, float) for z in config["zetas"].split(",") if z]
+        study = {"n_fields": config["n_fields"], "zeta_subsample": config["zeta_subsample"]}
     elif scenario == "sim3d":
-        grid = []
-        for cell in config["beta_zeta"].split(","):
-            if cell:
-                beta, _, zeta = cell.partition(":")
-                grid.append((_parse_value(beta, float), _parse_value(zeta, float)))
-        reference = None
+        cells = [cell.partition(":") for cell in config["beta_zeta"].split(",") if cell]
+        grid = [(_parse_value(beta, float), _parse_value(zeta, float)) for beta, _, zeta in cells]
+        study = {"reference_coords": None}
         if config["reference"]:
             _charge, steric = molio.parse_molecule_file(config["reference"])
-            reference = steric.coords
-        records = simulation.run_success_study(
-            "sim3d",
-            replications=config["replications"],
-            hyper_grid=grid,
-            rng_seed=config["seed"],
-            workers=max(1, config["workers"]),
-            n_iterations=n_iterations,
-            reference_coords=reference,
-        )
-        summary = {"cells": simulation.aggregate_table2(records)}
+            study["reference_coords"] = steric.coords
     else:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    if not records:
+    if not grid:
         raise ConfigError("the zeta grid (zetas or beta_zeta) is empty")
+    records = simulation.run_success_study(
+        scenario,
+        replications=config["replications"],
+        hyper_grid=grid,
+        rng_seed=config["seed"],
+        workers=max(1, config["workers"]),
+        n_iterations=n_iterations,
+        **study,
+    )
+    if scenario == "sim3d":
+        summary = {"cells": simulation.aggregate_table2(records)}
+    else:
+        summary = simulation.aggregate_table1(records)
     simulation.write_records(
         out_dir / "records.tsv", records, header_lines=_artifact_comments(config)
     )
@@ -689,7 +688,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.subcommand](config, out_dir)
-    except (ConfigError, mcmc.ConfigurationError, KernelDomainError) as err:
+    except (ConfigError, mcmc.ConfigurationError, KernelDomainError,
+            simulation.GenerationError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except (molio.MoleculeParseError, analysis.DistanceError, CliIOError, OSError) as err:

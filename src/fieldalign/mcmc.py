@@ -728,7 +728,6 @@ class PairEngine:
             if rng is None:
                 raise ConfigurationError("drawing the initial tau requires an rng")
             sims = [ch.similarity for ch in self.channels]
-            self.tau = 1.0
             d0 = self._combined(sims)
             drawn = gibbs_update_tau(
                 d0,
@@ -757,9 +756,8 @@ class PairEngine:
         h = self.hyper
         if h.range_schedule is not None:
             self._use_rho(h.range_schedule.value(1))
-        self.weight_q = (
-            h.weight_schedule.value(1) if h.weight_schedule is not None else h.weight_q
-        )
+        if h.weight_schedule is not None:
+            self.weight_q = h.weight_schedule.value(1)
         self.counters = {}
 
     def set_transform(self, transform: RigidTransform):
@@ -986,6 +984,7 @@ class _RunAccumulators:
         )
         self.incl_b = np.zeros(engine.coords_b.shape[0])
         self.n_acc = 0
+        self.failed = False
 
     def record(self, iteration: int, eligible: bool, thin: int):
         eng = self.engine
@@ -1020,108 +1019,80 @@ class _RunAccumulators:
             self.rows.append(row)
 
 
-def _mean_mask(inclusion: np.ndarray | None, n: int) -> np.ndarray | None:
-    if inclusion is None:
-        return None
-    if n == 0:
-        return None
-    freq = inclusion / n
+def _mean_mask(freq: np.ndarray) -> np.ndarray:
     mask = freq >= 0.5
     if not mask.any():
         mask[int(np.argmax(freq))] = True
     return mask
 
 
+def _run_attempt(
+    engine: PairEngine, hyper: Hyperparameters, rng, start, map_from: int, can_restart: bool
+) -> _RunAccumulators | None:
+    """Install a start state with start(rng), sweep to n_iterations and
+    record; None when the restart check fails and can_restart."""
+    engine.prepare_attempt()
+    start(rng)
+    acc = _RunAccumulators(engine)
+    for i in range(1, hyper.n_iterations + 1):
+        engine.begin_iteration(i)
+        scale = 1.0
+        if hyper.escape_period and i % hyper.escape_period == 0:
+            scale = hyper.escape_scale
+        engine.step_rigid(rng, "rotation", scale)
+        engine.step_rigid(rng, "translation", scale)
+        if hyper.update_tau:
+            engine.step_tau(rng)
+        if hyper.update_masks:
+            if not engine.field_mode:
+                engine.step_mask(rng, "a")
+            engine.step_mask(rng, "b")
+        acc.record(i, i > map_from, hyper.thin)
+        if (
+            hyper.restart_check_iter is not None
+            and i == hyper.restart_check_iter
+            and engine.dissimilarity > hyper.restart_threshold
+        ):
+            if can_restart:
+                return None
+            acc.failed = True
+    return acc
+
+
 def _run_chain(
-    engine: PairEngine,
-    hyper: Hyperparameters,
-    rng: np.random.Generator,
-    init: InitSpec | None,
-    fixed_init: tuple[RigidTransform, np.ndarray | None, np.ndarray] | None = None,
+    engine: PairEngine, hyper: Hyperparameters, rng: np.random.Generator, start
 ) -> AlignmentResult:
+    """Attempts until one passes its restart check or the restarts run out,
+    then the MAP, posterior means and plug-in distances of the last one."""
     n = hyper.n_iterations
     map_from = max(hyper.effective_burn_in, hyper.settle_iteration)
     if map_from >= n:
         raise ConfigurationError(
             "no post-burn-in, post-schedule iterations remain for MAP tracking"
         )
-    k_a = None if engine.field_mode else engine.coords_a.shape[0]
-    k_b = engine.coords_b.shape[0]
     restarts = 0
-    failed = False
-    while True:
-        engine.prepare_attempt()
-        if fixed_init is not None:
-            t0, mask_a0, mask_b0 = fixed_init
-            engine.install_state(t0, mask_a0, mask_b0, tau=hyper.tau_init, rng=rng)
-        else:
-            for _ in range(100):
-                t0 = init.sample_transform(rng, engine.m)
-                mask_a0 = None if k_a is None else init.sample_mask(rng, k_a)
-                mask_b0 = init.sample_mask(rng, k_b)
-                try:
-                    engine.install_state(
-                        t0, mask_a0, mask_b0, tau=hyper.tau_init, rng=rng
-                    )
-                    break
-                except DegenerateFieldError:
-                    continue
-            else:
-                raise DegenerateFieldError(
-                    "could not draw a nondegenerate initial mask in 100 tries"
-                )
-        acc = _RunAccumulators(engine)
-        do_restart = False
-        for i in range(1, n + 1):
-            engine.begin_iteration(i)
-            scale = 1.0
-            if hyper.escape_period and i % hyper.escape_period == 0:
-                scale = hyper.escape_scale
-            engine.step_rigid(rng, "rotation", scale)
-            engine.step_rigid(rng, "translation", scale)
-            if hyper.update_tau:
-                engine.step_tau(rng)
-            if hyper.update_masks:
-                if not engine.field_mode:
-                    engine.step_mask(rng, "a")
-                engine.step_mask(rng, "b")
-            acc.record(i, i > map_from, hyper.thin)
-            if (
-                hyper.restart_check_iter is not None
-                and i == hyper.restart_check_iter
-                and engine.dissimilarity > hyper.restart_threshold
-            ):
-                if restarts < hyper.max_restarts:
-                    restarts += 1
-                    do_restart = True
-                    break
-                failed = True
-        if not do_restart:
-            break
+    while (acc := _run_attempt(engine, hyper, rng, start, map_from,
+                               restarts < hyper.max_restarts)) is None:
+        restarts += 1
+    # the attempt swept past map_from to n, so acc.best is set and n_acc >= 1
     final_state = engine.snapshot(n)
-    map_state = acc.best if acc.best is not None else final_state
-    n_acc = max(acc.n_acc, 1)
+    n_acc = acc.n_acc
     mean_euler = wrap_angles(np.arctan2(acc.sin_sum / n_acc, acc.cos_sum / n_acc))
     mean_transform = RigidTransform(mean_euler, acc.translation_sum / n_acc)
-    mean_tau = acc.tau_sum / n_acc if acc.n_acc else final_state.tau
+    mean_tau = acc.tau_sum / n_acc
     incl_a = None if acc.incl_a is None else acc.incl_a / n_acc
     incl_b = acc.incl_b / n_acc
-    mean_mask_a = _mean_mask(acc.incl_a, n_acc)
-    mean_mask_b = _mean_mask(acc.incl_b, n_acc)
-    if mean_mask_b is None:
-        mean_mask_b = final_state.mask_b.copy()
-    acceptance = engine.acceptance_rates()
-    plug_in = map_state.carbo.dissimilarity
+    mean_mask_a = None if incl_a is None else _mean_mask(incl_a)
+    mean_mask_b = _mean_mask(incl_b)
     try:
         engine.install_state(mean_transform, mean_mask_a, mean_mask_b, mean_tau)
         plug_in_mean = engine.snapshot().carbo.dissimilarity
     except (DegenerateFieldError, EmptyFieldError):
         plug_in_mean = np.inf
-    traces = np.array(acc.rows, dtype=float)
     return AlignmentResult(
-        map_state=map_state,
+        map_state=acc.best,
         final_state=final_state,
-        plug_in_distance=plug_in,
+        plug_in_distance=acc.best.carbo.dissimilarity,
         plug_in_distance_mean=plug_in_mean,
         mean_transform=mean_transform,
         mean_mask_a=mean_mask_a,
@@ -1129,11 +1100,11 @@ def _run_chain(
         mask_inclusion_means_a=incl_a,
         mask_inclusion_means_b=incl_b,
         mean_tau=mean_tau,
-        traces=traces,
+        traces=np.array(acc.rows, dtype=float),
         trace_columns=_trace_columns(engine.m),
-        acceptance_rates=acceptance,
+        acceptance_rates=engine.acceptance_rates(),
         n_restarts=restarts,
-        failed=failed,
+        failed=acc.failed,
         n_iterations=n,
     )
 
@@ -1154,8 +1125,20 @@ def run_pairwise_alignment(
     restart) is drawn from `init`.  Identical seeds give identical traces.
     """
     engine = PairEngine.for_pair(set_a, set_b, models, hyper)
-    rng = np.random.default_rng(rng_seed)
-    return _run_chain(engine, hyper, rng, init)
+    k_a, k_b = engine.coords_a.shape[0], engine.coords_b.shape[0]
+
+    def start(rng):
+        for _ in range(100):
+            t0 = init.sample_transform(rng, engine.m)
+            masks = init.sample_mask(rng, k_a), init.sample_mask(rng, k_b)
+            try:
+                engine.install_state(t0, *masks, tau=hyper.tau_init, rng=rng)
+            except DegenerateFieldError:
+                continue
+            return
+        raise DegenerateFieldError("could not draw a nondegenerate initial mask in 100 tries")
+
+    return _run_chain(engine, hyper, np.random.default_rng(rng_seed), start)
 
 
 def run_reference_alignment(
@@ -1174,11 +1157,12 @@ def run_reference_alignment(
     draw, and only the movable mask is updated.
     """
     engine = PairEngine.for_reference_field(ref_coords, ref_coeffs, movable, model, hyper)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    mask = np.asarray(initial_mask, dtype=bool)
-    return _run_chain(
-        engine, hyper, rng, None, fixed_init=(initial_transform, None, mask)
-    )
+
+    def start(rng):
+        engine.install_state(initial_transform, None, initial_mask, tau=hyper.tau_init, rng=rng)
+
+    # default_rng returns a Generator unaltered
+    return _run_chain(engine, hyper, np.random.default_rng(rng), start)
 
 
 # -- external formats ------------------------------------------------------

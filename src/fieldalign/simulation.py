@@ -12,6 +12,7 @@ summarize success rates, unmasked counts and RMSDs.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .geometry import (
     rmsd,
 )
 from .mcmc import (
+    AlignmentResult,
     Hyperparameters,
     InitSpec,
     LinearSchedule,
@@ -213,6 +215,14 @@ def generate_pair_2d(
     return Sim2DPair(set_a, set_b, mask.copy(), mask.copy(), RigidTransform.identity(2))
 
 
+def _reference_block(reference_coords, n_atoms: int) -> np.ndarray:
+    """The first n_atoms atom positions of a reference molecule."""
+    ref = np.atleast_2d(np.asarray(reference_coords, dtype=float))
+    if ref.shape[0] < n_atoms:
+        raise GenerationError(f"reference molecule has {ref.shape[0]} atoms < {n_atoms}")
+    return ref[:n_atoms]
+
+
 def generate_pair_3d(
     config: Sim3DConfig,
     reference_coords,
@@ -223,12 +233,7 @@ def generate_pair_3d(
     atoms of each copy are contaminated; both are centered and uniformly
     rotated.  truth_b holds B's pre-contamination atoms mapped by A's
     centering and rotation, for RMSD scoring of the first atoms."""
-    ref = np.atleast_2d(np.asarray(reference_coords, dtype=float))
-    if ref.shape[0] < config.n_atoms:
-        raise GenerationError(
-            f"reference molecule has {ref.shape[0]} atoms < {config.n_atoms}"
-        )
-    base = ref[: config.n_atoms]
+    base = _reference_block(reference_coords, config.n_atoms)
     coords_a = base.copy()
     coords_b = base + rng.normal(0.0, config.perturbation_sd, base.shape)
     coords_b_clean = coords_b.copy()
@@ -326,6 +331,21 @@ def sim3d_init() -> InitSpec:
 # -- study drivers ------------------------------------------------------------
 
 
+def _record_tail(res: AlignmentResult, deviation: float) -> dict:
+    """The fields every study record ends with: the MAP's RMSD and success,
+    restarts, failure and the final state's score and unmasked counts."""
+    final = res.final_state
+    return {
+        "rmsd": deviation,
+        "success": bool(deviation <= 0.1),
+        "n_restarts": res.n_restarts,
+        "failed": res.failed,
+        "carbo_final": final.carbo.dissimilarity,
+        "unmasked_a_final": final.n_unmasked_a,
+        "unmasked_b_final": final.n_unmasked_b,
+    }
+
+
 def _run_2d_case(spec: dict) -> dict:
     config = Sim2DConfig(
         k_true=spec["k_true"],
@@ -345,7 +365,6 @@ def _run_2d_case(spec: dict) -> dict:
         spec["chain_seed"],
     )
     mapped = apply_transform(res.map_state.transform, pair.set_b.coords)
-    deviation = rmsd(pair.set_b.coords, mapped)
     return {
         "scenario": f"setting{spec['setting']}",
         "field_index": spec["field_index"],
@@ -354,13 +373,7 @@ def _run_2d_case(spec: dict) -> dict:
         "kappa": spec["kappa"],
         "zeta": spec["zeta"],
         "replication": spec["replication"],
-        "rmsd": deviation,
-        "success": bool(deviation <= 0.1),
-        "n_restarts": res.n_restarts,
-        "failed": res.failed,
-        "carbo_final": res.final_state.carbo.dissimilarity,
-        "unmasked_a_final": res.final_state.n_unmasked_a,
-        "unmasked_b_final": res.final_state.n_unmasked_b,
+        **_record_tail(res, rmsd(pair.set_b.coords, mapped)),
     }
 
 
@@ -379,19 +392,12 @@ def _run_3d_case(spec: dict) -> dict:
     )
     ns = config.n_scored_atoms
     mapped = apply_transform(res.map_state.transform, pair.set_b.coords[:ns])
-    deviation = rmsd(pair.truth_b[:ns], mapped)
     return {
         "scenario": "sim3d",
         "beta": spec["beta"],
         "zeta": spec["zeta"],
         "replication": spec["replication"],
-        "rmsd": deviation,
-        "success": bool(deviation <= 0.1),
-        "n_restarts": res.n_restarts,
-        "failed": res.failed,
-        "carbo_final": res.final_state.carbo.dissimilarity,
-        "unmasked_a_final": res.final_state.n_unmasked_a,
-        "unmasked_b_final": res.final_state.n_unmasked_b,
+        **_record_tail(res, rmsd(pair.truth_b[:ns], mapped)),
     }
 
 
@@ -428,93 +434,75 @@ def run_success_study(
     each run `replications` times.  Records are deterministic given
     rng_seed, independent of `workers`.
     """
+    root = np.random.SeedSequence(rng_seed)
     if scenario in ("setting1", "setting2"):
         setting = 1 if scenario == "setting1" else 2
         zetas = list(hyper_grid) if hyper_grid is not None else [10.0, 50.0, 90.0]
         iters = n_iterations if n_iterations is not None else 50_000
-        configs = (
-            list(cells)
-            if cells is not None
-            else [
-                (kt, fr, kp)
-                for kt in _2D_KTRUE
-                for fr in _2D_FRACTIONS
-                for kp in _2D_KAPPAS
-            ]
+        configs = list(
+            itertools.product(_2D_KTRUE, _2D_FRACTIONS, _2D_KAPPAS) if cells is None else cells
         )
-        root = np.random.SeedSequence(rng_seed)
-        field_seeds = root.spawn(n_fields)
         grid = grid_coords_2d()
-        gen_model = CovarianceModel(MATERN, rho=0.2, nu=1.0)
+        gen_model = Sim2DConfig().gen_model
         fields = [
             sample_grf(gen_model, grid, np.random.default_rng(ss))
-            for ss in field_seeds
+            for ss in root.spawn(n_fields)
         ]
-        n_data = n_fields * len(configs) * replications
-        data_seeds = root.spawn(n_data)
+        data_seeds = root.spawn(n_fields * len(configs) * replications)
         specs = []
-        data_i = 0
-        for f in range(n_fields):
-            for ci, (kt, fr, kp) in enumerate(configs):
-                for rep in range(replications):
-                    zeta_list = (
-                        [zetas[(f * len(configs) + ci + rep) % len(zetas)]]
-                        if zeta_subsample
-                        else zetas
-                    )
-                    for zeta in zeta_list:
-                        specs.append(
-                            {
-                                "setting": setting,
-                                "field_index": f,
-                                "field": fields[f],
-                                "k_true": kt,
-                                "fraction": fr,
-                                "kappa": kp,
-                                "zeta": zeta,
-                                "replication": rep,
-                                "n_iterations": iters,
-                                "data_seed": data_seeds[data_i],
-                            }
-                        )
-                    data_i += 1
-        chain_seeds = root.spawn(len(specs))
-        for spec, seed in zip(specs, chain_seeds):
-            spec["chain_seed"] = seed
-        return _execute(_run_2d_case, specs, workers)
-
-    if scenario == "sim3d":
+        cases = itertools.product(range(n_fields), enumerate(configs), range(replications))
+        # one data seed per (field, configuration, replication), shared by its zetas
+        for data_seed, (f, (ci, (kt, fr, kp)), rep) in zip(data_seeds, cases):
+            zeta_list = (
+                [zetas[(f * len(configs) + ci + rep) % len(zetas)]]
+                if zeta_subsample
+                else zetas
+            )
+            for zeta in zeta_list:
+                specs.append(
+                    {
+                        "setting": setting,
+                        "field_index": f,
+                        "field": fields[f],
+                        "k_true": kt,
+                        "fraction": fr,
+                        "kappa": kp,
+                        "zeta": zeta,
+                        "replication": rep,
+                        "n_iterations": iters,
+                        "data_seed": data_seed,
+                    }
+                )
+        run_case = _run_2d_case
+    elif scenario == "sim3d":
         grid_cells = list(hyper_grid) if hyper_grid is not None else [(0.04, 70.0)]
         iters = n_iterations if n_iterations is not None else 2_000
-        ref = (
-            DEFAULT_REFERENCE_COORDS
-            if reference_coords is None
-            else np.asarray(reference_coords, dtype=float)
+        ref = _reference_block(
+            DEFAULT_REFERENCE_COORDS if reference_coords is None else reference_coords,
+            Sim3DConfig.n_atoms,
         )
-        root = np.random.SeedSequence(rng_seed)
         # paired design: replication r uses the same generated pair in every
         # (beta, zeta) cell, so hyperparameter comparisons cancel the
         # dataset-difficulty noise
         data_seeds = root.spawn(replications)
-        specs = []
-        for beta, zeta in grid_cells:
-            for rep in range(replications):
-                specs.append(
-                    {
-                        "beta": beta,
-                        "zeta": zeta,
-                        "replication": rep,
-                        "n_iterations": iters,
-                        "reference": ref,
-                        "data_seed": data_seeds[rep],
-                    }
-                )
-        chain_seeds = root.spawn(len(specs))
-        for spec, seed in zip(specs, chain_seeds):
-            spec["chain_seed"] = seed
-        return _execute(_run_3d_case, specs, workers)
-
-    raise ValueError(f"unknown scenario {scenario!r}")
+        specs = [
+            {
+                "beta": beta,
+                "zeta": zeta,
+                "replication": rep,
+                "n_iterations": iters,
+                "reference": ref,
+                "data_seed": data_seeds[rep],
+            }
+            for beta, zeta in grid_cells
+            for rep in range(replications)
+        ]
+        run_case = _run_3d_case
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    for spec, seed in zip(specs, root.spawn(len(specs))):
+        spec["chain_seed"] = seed
+    return _execute(run_case, specs, workers)
 
 
 def aggregate_table1(records: list[dict]) -> dict:

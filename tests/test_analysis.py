@@ -77,7 +77,7 @@ class TestDistanceMatrix:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         d = random_distance_matrix(rng, 5)
-        m = DistanceMatrix(d, kind="map", labels=tuple("abcde"))
+        m = DistanceMatrix(d, labels=tuple("abcde"))
         path = tmp_path / "d.tsv"
         m.save(path)
         again = DistanceMatrix.load(path)

@@ -19,6 +19,9 @@ from fieldalign.cli import (
     main,
 )
 from fieldalign.covariance import SingularGramError
+from fieldalign.geometry import MarkedPointSet
+from fieldalign.molio import write_molecule_file
+from fieldalign.simulation import DEFAULT_REFERENCE_COORDS
 
 DATA = Path(__file__).parent / "data"
 
@@ -237,6 +240,20 @@ class TestSimulateCommand:
             if not l.startswith("#")
         ]
         assert len(body) == 1 + 12  # header + 12 configurations
+
+    def test_reference_passes_through(self, tmp_path):
+        # the built-in 25-atom block given as a file gives the same records
+        ref = tmp_path / "ref.mol"
+        block = MarkedPointSet(DEFAULT_REFERENCE_COORDS, np.zeros(25))
+        write_molecule_file(ref, block, block)
+        args = ["simulate", "--profile", "sim3d", "--set", "iterations=60",
+                "--set", "workers=1", "--seed", "9"]
+        bodies = []
+        for name, extra in (("plain", []), ("ref", ["--set", f"reference={ref}"])):
+            assert run_cli(args + extra + ["--out-dir", tmp_path / name]) == 0
+            text = (tmp_path / name / "records.tsv").read_text()
+            bodies.append([l for l in text.splitlines() if not l.startswith("#")])
+        assert bodies[0] == bodies[1]
 
 
 class TestClusterCommand:
@@ -475,6 +492,7 @@ class TestErrorExitCodes:
         assert run_cli(args) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(prefix), err
+        return err[0]
 
     def test_sampler_configuration_error(self, tmp_path, capsys):
         # Hyperparameters raises mcmc.ConfigurationError
@@ -514,8 +532,10 @@ class TestErrorExitCodes:
         write_molecule(tmp_path / "big.mol", np.eye(3), [0.1, 0.2, 0.3])
         self.check(capsys, tfield_args(tmp_path, [0, 0, 0]), 4, "degenerate input:")
 
-    def simulate(self, tmp_path, capsys, profile, setting):
-        args = ["simulate", "--profile", profile, "--set", setting, "--out-dir", tmp_path]
+    def simulate(self, tmp_path, capsys, profile, *settings):
+        args = ["simulate", "--profile", profile, "--out-dir", tmp_path]
+        for item in settings:
+            args += ["--set", item]
         self.check(capsys, args, 2, "configuration error:")
         assert not (tmp_path / "records.tsv").exists()
 
@@ -530,6 +550,31 @@ class TestErrorExitCodes:
 
     def test_simulate_zero_fields(self, tmp_path, capsys):
         self.simulate(tmp_path, capsys, "sim2d-setting1", "n_fields=0")
+
+    def test_simulate_empty_zeta_grid_with_subsample(self, tmp_path, capsys):
+        # no zeta to cycle through: rejected before the fields are drawn
+        self.simulate(tmp_path, capsys, "sim2d-setting1", "zetas=,", "zeta_subsample=true")
+
+    def test_simulate_short_reference(self, tmp_path, capsys, monkeypatch):
+        # mol_a has 12 atoms, the sim3d block 25: rejected before any chain
+        calls = []
+        monkeypatch.setattr(mcmc, "_run_chain", lambda *a, **k: calls.append(1))
+        self.simulate(tmp_path, capsys, "sim3d", f"reference={DATA / 'mol_a.mol'}")
+        assert not calls
+
+    def test_gpa_needs_two_molecules(self, tmp_path, capsys):
+        args = ["gpa", "--set", f"molecules={DATA / 'mol_a.mol'}", "--out-dir", tmp_path]
+        self.check(capsys, args, 2, "configuration error:")
+
+    @pytest.mark.parametrize("key, text", [
+        ("transforms_from", "{"), ("group_a", "{}"), ("group_b", "[]"),
+        ("transforms_from", '{"molecules": ["mol_a"]}'),
+    ])
+    def test_tfield_malformed_gpa_result(self, tmp_path, capsys, key, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        args = self.tfield_two_member_args(tmp_path, f"{key}={bad}")
+        assert str(bad) in self.check(capsys, args, 3, "io error:")
 
     @pytest.mark.parametrize("setting", [
         "alpha=nan", "beta=inf", "zeta=nan", "zeta_interaction=nan", "rotation_sd_deg=nan",

@@ -380,6 +380,11 @@ class TestRunPairwiseAlignment:
         )
         assert res.failed
         assert res.n_restarts == 2
+        # the exhausted last attempt still sweeps to n: a MAP past burn-in
+        # and posterior means exist
+        assert res.traces[-1, 0] == 120
+        assert res.map_state.iteration > 10
+        assert np.isfinite(res.mean_tau)
 
     def test_no_restart_when_threshold_loose(self):
         set_a, set_b = small_pair(seed=37)
