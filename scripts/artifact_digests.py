@@ -58,6 +58,13 @@ def runs() -> list[tuple[str, list[str]]]:
             "--set=kernel=matern", "--set=nu=1.5",
             *(f"--set={s}" for s in ALIGN_SHORT),
         ]),
+        # one channel and no principal-axes rotation
+        ("align-pair-steric", [
+            "align-pair", "--set", "molecule_a=mols/mol_a.mol",
+            "--set", "molecule_b=mols/mol_c.mol", "--seed", "17",
+            "--set=channel=steric", "--set=principal_axes=false",
+            *(f"--set={s}" for s in ALIGN_SHORT),
+        ]),
         ("gpa", [
             "gpa", "--profile", "steroid-gpa", "--set", f"molecules={mols}", "--seed", "13",
             "--set=step1_iterations=1000", "--set=step1_restart_check=250",

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import analysis, gpa, mcmc, molio, simulation
 from .covariance import (
-    GAUSSIAN,
     MATERN,
     CovarianceModel,
     KernelDomainError,
@@ -34,6 +33,8 @@ from .kriging import DegenerateFieldError, EmptyFieldError, build_field
 from .mcmc import Hyperparameters, InitSpec, LinearSchedule
 
 STERIC_RHO_DEFAULT = 1.7 / np.sqrt(3.0)
+# mark channels by name, as indices into molio's (charge, steric) pair
+_CHANNELS = {"charge": (0,), "steric": (1,), "both": (0, 1)}
 
 
 class ConfigError(ValueError):
@@ -246,29 +247,16 @@ def _config_values(build):
 
 @_config_values
 def _kernel_model(kind: str, rho: float, nu: float) -> CovarianceModel:
-    if kind == "gaussian":
-        return CovarianceModel(GAUSSIAN, rho=rho)
-    if kind == "matern":
-        return CovarianceModel(MATERN, rho=rho, nu=nu)
-    raise ConfigError(f"unknown kernel {kind!r}")
+    return CovarianceModel(kind, rho=rho, nu=nu if kind == MATERN else None)
 
 
-def _channels_for(config, charge_pair, steric_pair):
-    """Per-channel (set_a, set_b, model) triples in (charge, steric) order."""
+def _channel_indices(config, single: bool = False) -> tuple[int, ...]:
+    """The configured mark channels; 'both' only where two are supported."""
     channel = config["channel"]
-    charge_model = _kernel_model(config["kernel"], config["rho_charge"], config["nu"])
-    steric_model = _kernel_model(config["kernel"], config["rho_steric"], config["nu"])
-    if channel == "both":
-        return (
-            [charge_pair[0], steric_pair[0]],
-            [charge_pair[1], steric_pair[1]],
-            [charge_model, steric_model],
-        )
-    if channel == "charge":
-        return [charge_pair[0]], [charge_pair[1]], [charge_model]
-    if channel == "steric":
-        return [steric_pair[0]], [steric_pair[1]], [steric_model]
-    raise ConfigError(f"unknown channel {channel!r}")
+    allowed = ("charge", "steric") if single else tuple(_CHANNELS)
+    if channel not in allowed:
+        raise ConfigError(f"channel must be one of {', '.join(allowed)}, not {channel!r}")
+    return _CHANNELS[channel]
 
 
 @_config_values
@@ -307,32 +295,26 @@ def _pair_init(config) -> InitSpec:
     )
 
 
+def _on_principal_axes(mol):
+    """Both channels of a molecule moved onto its principal axes."""
+    coords = principal_axes_transform(mol[0].coords).apply(mol[0].coords)
+    return tuple(ps.with_coords(coords) for ps in mol)
+
+
 def _align_one_direction(config, mol_a, mol_b, seed):
     """Run one directed alignment of mol_b onto mol_a."""
-    charge_a, steric_a = mol_a
-    charge_b, steric_b = mol_b
     if config["principal_axes"]:
-        ta = principal_axes_transform(charge_a.coords)
-        tb = principal_axes_transform(charge_b.coords)
-        charge_a = charge_a.with_coords(ta.apply(charge_a.coords))
-        steric_a = steric_a.with_coords(charge_a.coords)
-        charge_b = charge_b.with_coords(tb.apply(charge_b.coords))
-        steric_b = steric_b.with_coords(charge_b.coords)
-    sets_a, sets_b, models = _channels_for(
-        config, (charge_a, charge_b), (steric_a, steric_b)
-    )
-    hyper = _pair_hyper(config, len(models))
-    init = _pair_init(config)
+        mol_a, mol_b = _on_principal_axes(mol_a), _on_principal_axes(mol_b)
+    # both models are built, so a bad range fails whatever the channel
+    models = [_kernel_model(config["kernel"], config[key], config["nu"])
+              for key in ("rho_charge", "rho_steric")]
+    channels = _channel_indices(config)
+    hyper = _pair_hyper(config, len(channels))
     result = mcmc.run_pairwise_alignment(
-        sets_a if len(sets_a) > 1 else sets_a[0],
-        sets_b if len(sets_b) > 1 else sets_b[0],
-        models if len(models) > 1 else models[0],
-        hyper,
-        init,
-        seed,
+        [mol_a[c] for c in channels], [mol_b[c] for c in channels],
+        [models[c] for c in channels], hyper, _pair_init(config), seed,
     )
-    start_coords = sets_b[0].coords
-    return result, start_coords, sets_a[0].coords
+    return result, mol_b[channels[0]].coords, mol_a[channels[0]].coords
 
 
 def _align_with_retries(job):
@@ -481,10 +463,8 @@ def cmd_gpa(config, out_dir: Path) -> int:
     names = [name for name, _ in molecules]
     if len(molecules) < 2:
         raise ConfigError("gpa needs at least two molecules")
-    channel_idx = {"charge": 0, "steric": 1}.get(config["channel"])
-    if channel_idx is None:
-        raise ConfigError("gpa channel must be 'charge' or 'steric'")
-    sets = [mol[channel_idx] for _name, mol in molecules]
+    (channel,) = _channel_indices(config, single=True)
+    sets = [mol[channel] for _name, mol in molecules]
     model, gpa_config = _gpa_config_to_objects(config)
     state, results = gpa.run_field_gpa(sets, model, gpa_config, config["seed"])
     payload = {
@@ -527,6 +507,27 @@ def _load_gpa_result(path, *keys) -> dict:
     return result
 
 
+def _gpa_entries(path, key: str, parse) -> list[tuple[str, object]]:
+    """(molecule, parse(entry)) per entry of the "molecules" and `key` lists
+    of a gpa.json-like file; a malformed list or entry raises CliIOError."""
+    result = _load_gpa_result(path, key)
+    names, entries = result["molecules"], result[key]
+    try:
+        if not (isinstance(names, list) and isinstance(entries, list)
+                and 0 < len(names) == len(entries) and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"molecules must list one name per {key} entry")
+        return [(name, parse(entry)) for name, entry in zip(names, entries)]
+    except (KeyError, TypeError, ValueError) as err:
+        raise CliIOError(f"{path}: malformed {key}: {err!r}") from None
+
+
+def _gpa_transform(entry: dict) -> RigidTransform:
+    transform = RigidTransform(entry["euler_radians"], entry["translation"])
+    if transform.dimension != 3:
+        raise ValueError("molecule transforms are three-dimensional")
+    return transform
+
+
 @_config_values
 def _tfield_statistics(config, fields_a, fields_b, coords):
     """The grid covering coords, the t-field on it and its regions."""
@@ -537,38 +538,33 @@ def _tfield_statistics(config, fields_a, fields_b, coords):
 
 def cmd_tfield(config, out_dir: Path) -> int:
     molecules = dict(_read_molecules(config["molecules"]))
-    channel_idx = {"charge": 0, "steric": 1}.get(config["channel"])
-    if channel_idx is None:
-        raise ConfigError("tfield channel must be 'charge' or 'steric'")
+    (channel,) = _channel_indices(config, single=True)
     model = _kernel_model(config["kernel"], config["rho"], config["nu"])
-    overall = _load_gpa_result(config["transforms_from"], "transforms")
-    transforms = {}
-    for name, tdict in zip(overall["molecules"], overall["transforms"]):
-        transforms[name] = RigidTransform(
-            np.radians(tdict["euler_degrees"]), tdict["translation"]
-        )
+    transforms = dict(_gpa_entries(config["transforms_from"], "transforms", _gpa_transform))
 
-    def group_fields(group_path):
-        group = _load_gpa_result(group_path, "masks")
-        fields = []
-        coords = []
-        for name, mask in zip(group["molecules"], group["masks"]):
+    def group_masks(group_path):
+        entries = _gpa_entries(group_path, "masks", lambda mask: np.array(mask, dtype=bool))
+        for name, mask in entries:
             if name not in molecules:
                 raise ConfigError(f"molecule {name!r} not found in inputs")
             if name not in transforms:
                 raise ConfigError(f"molecule {name!r} missing from transforms_from")
-            ps = molecules[name][channel_idx]
-            field = build_field(ps, mask=np.array(mask, dtype=bool), model=model)
-            field = field.transformed(transforms[name])
-            fields.append(field)
-            coords.append(field.active_coords)
-        return fields, np.vstack(coords)
+            if mask.shape != (molecules[name][channel].k,):
+                raise CliIOError(f"{group_path}: the mask of {name!r} does not fit its atoms")
+        return entries
 
-    fields_a, coords_a = group_fields(config["group_a"])
-    fields_b, coords_b = group_fields(config["group_b"])
-    grid, tf, regions = _tfield_statistics(
-        config, fields_a, fields_b, np.vstack([coords_a, coords_b])
+    # every entry is checked before the first field is kriged
+    groups = [group_masks(config[key]) for key in ("group_a", "group_b")]
+    fields_a, fields_b = (
+        [
+            build_field(molecules[name][channel], mask=mask, model=model)
+            .transformed(transforms[name])
+            for name, mask in entries
+        ]
+        for entries in groups
     )
+    coords = np.vstack([field.active_coords for field in fields_a + fields_b])
+    grid, tf, regions = _tfield_statistics(config, fields_a, fields_b, coords)
     comments = _artifact_comments(config)
     tf.save(out_dir / "tfield.txt", header_lines=comments)
     analysis.write_regions(out_dir / "regions.tsv", regions, grid, header_lines=comments)

@@ -9,13 +9,14 @@ chain, onto the normalized mean field of the others.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovarianceModel
-from .geometry import RigidTransform, apply_transform
-from .kriging import EmptyFieldError, PredictedField, build_field, kernel_sum
+from .geometry import RigidTransform
+from .kriging import PredictedField, build_field, kernel_sum
 from .mcmc import (
     AlignmentResult,
     Hyperparameters,
@@ -79,26 +80,28 @@ class GpaConfig:
             raise ValueError("tol must be nonnegative")
 
 
+def _placed_field(points, transform, mask, model: CovarianceModel) -> PredictedField:
+    """Kriged field of a masked set, moved by its transform."""
+    return build_field(points, mask=mask, model=model).transformed(transform)
+
+
 def _placed_fields(sets, transforms, masks, model: CovarianceModel) -> list[PredictedField]:
-    """Kriged fields of the masked sets, each moved by its transform."""
-    return [
-        build_field(ps, mask=mask, model=model).transformed(t)
-        for ps, t, mask in zip(sets, transforms, masks)
-    ]
+    if len(sets) < 2:
+        raise ValueError("multiple alignment needs at least two sets")
+    return [_placed_field(*args, model) for args in zip(sets, transforms, masks)]
+
+
+def _multi_carbo(fields) -> float:
+    total = 0.0
+    for a, b in itertools.combinations(fields, 2):
+        total += partial_carbo(a, b).similarity
+    return total
 
 
 def multi_carbo(sets, transforms, masks, model: CovarianceModel) -> float:
     """Goodness of fit of a multiple superposition: the sum over unordered
     pairs of normalized-field inner products at the current transforms."""
-    n = len(sets)
-    if n < 2:
-        raise ValueError("multiple alignment needs at least two sets")
-    fields = _placed_fields(sets, transforms, masks, model)
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            total += partial_carbo(fields[i], fields[j]).similarity
-    return total
+    return _multi_carbo(_placed_fields(sets, transforms, masks, model))
 
 
 def leave_one_out_similarity(
@@ -106,24 +109,26 @@ def leave_one_out_similarity(
 ) -> float:
     """Inner product of the i-th normalized field with the normalized mean
     field of the others; summing over i recovers 2 C / (n - 1)."""
-    n = len(sets)
-    if n < 2:
-        raise ValueError("multiple alignment needs at least two sets")
     fields = _placed_fields(sets, transforms, masks, model)
     total = 0.0
-    for j in range(n):
+    for j, field in enumerate(fields):
         if j != i:
-            total += partial_carbo(fields[i], fields[j]).similarity
-    return total / (n - 1)
+            total += partial_carbo(fields[i], field).similarity
+    return total / (len(fields) - 1)
 
 
-def mean_field_excluding(
-    i: int, sets, transforms, masks, model: CovarianceModel
-) -> MeanField:
-    """Normalized mean field over all sets but the i-th."""
-    n = len(sets)
-    indices = [j for j in range(n) if j != i]
-    return group_mean_field(sets, transforms, masks, model, indices)
+def _mean_field(fields) -> MeanField:
+    return MeanField(
+        tuple(f.active_coords for f in fields),
+        tuple(f.normalized_weights for f in fields),
+        fields[0].model,
+        scale=1.0 / len(fields),
+    )
+
+
+def mean_field_excluding(i: int, fields) -> MeanField:
+    """Normalized mean field over all placed fields but the i-th."""
+    return _mean_field([f for j, f in enumerate(fields) if j != i])
 
 
 def group_mean_field(
@@ -133,16 +138,8 @@ def group_mean_field(
     indices = list(group_indices)
     if not indices:
         raise ValueError("the group must contain at least one set")
-    coords = []
-    coeffs = []
-    for j in indices:
-        mask = np.asarray(masks[j]).astype(bool)
-        if not mask.any():
-            raise EmptyFieldError(f"set {j} has an empty mask")
-        coords.append(apply_transform(transforms[j], sets[j].coords[mask]))
-        coeffs.append(build_field(sets[j], mask=mask, model=model).normalized_weights)
-    return MeanField(
-        tuple(coords), tuple(coeffs), model, scale=1.0 / len(indices)
+    return _mean_field(
+        [_placed_field(sets[j], transforms[j], masks[j], model) for j in indices]
     )
 
 
@@ -180,7 +177,9 @@ def run_field_gpa(
         transforms[j] = res.map_state.transform
         masks[j] = res.map_state.mask_b.copy()
 
-    criterion = multi_carbo(sets, transforms, masks, model)
+    # placed fields, each rebuilt when its set moves
+    fields = _placed_fields(sets, transforms, masks, model)
+    criterion = _multi_carbo(fields)
     history = [criterion]
     results: list[AlignmentResult] = [None] * n  # type: ignore[list-item]
     passes = 0
@@ -188,7 +187,7 @@ def run_field_gpa(
     while passes < config.max_passes:
         passes += 1
         for i in range(n):
-            mf = mean_field_excluding(i, sets, transforms, masks, model)
+            mf = mean_field_excluding(i, fields)
             ref_coords, ref_coeffs = mf.stacked()
             res = run_reference_alignment(
                 ref_coords,
@@ -202,8 +201,9 @@ def run_field_gpa(
             )
             transforms[i] = res.map_state.transform
             masks[i] = res.map_state.mask_b.copy()
+            fields[i] = _placed_field(sets[i], transforms[i], masks[i], model)
             results[i] = res
-        updated = multi_carbo(sets, transforms, masks, model)
+        updated = _multi_carbo(fields)
         improvement = abs(updated - criterion)
         criterion = updated
         history.append(criterion)

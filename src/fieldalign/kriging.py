@@ -103,14 +103,6 @@ class PredictedField:
             object.__setattr__(self, name, a)
 
     @property
-    def k(self) -> int:
-        return self.source_coords.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.source_coords.shape[1]
-
-    @property
     def active_coords(self) -> np.ndarray:
         return self.source_coords[self.mask]
 

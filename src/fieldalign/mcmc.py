@@ -208,7 +208,6 @@ class ChainState:
     mask_b: np.ndarray
     tau: float
     carbo: CarboScore
-    channel_scores: tuple[CarboScore, ...]
     log_posterior: float
     iteration: int = 0
 
@@ -926,9 +925,8 @@ class PairEngine:
         return CarboScore.from_inner(ch.inner * norm_a * norm_b, norm_a, norm_b)
 
     def snapshot(self, iteration: int = 0) -> ChainState:
-        scores = tuple(self._channel_score(ch) for ch in self.channels)
-        if len(scores) == 1:
-            carbo = scores[0]
+        if len(self.channels) == 1:
+            carbo = self._channel_score(self.channels[0])
         else:
             carbo = CarboScore.from_dissimilarity(self.dissimilarity)
         transform = RigidTransform(self.euler.copy(), self.translation.copy())
@@ -938,7 +936,6 @@ class PairEngine:
             mask_b=self.mask_b.copy(),
             tau=self.tau,
             carbo=carbo,
-            channel_scores=scores,
             log_posterior=self.log_posterior,
             iteration=iteration,
         )

@@ -23,7 +23,6 @@ from .analysis import write_table
 from .covariance import MATERN, CovarianceModel, gram_cholesky
 from .geometry import (
     MarkedPointSet,
-    RigidTransform,
     apply_transform,
     random_rotation,
     rmsd,
@@ -98,8 +97,7 @@ def grid_coords_2d(n: int = GRID_N) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sim2DConfig:
-    """2D benchmark cell; values outside the benchmark's enumerated sets
-    need custom=True."""
+    """2D benchmark cell, one of the benchmark's enumerated settings."""
 
     k_true: int = 80
     contamination_fraction: float = 0.05
@@ -107,22 +105,19 @@ class Sim2DConfig:
     gen_model: CovarianceModel = CovarianceModel(MATERN, rho=0.2, nu=1.0)
     contamination_bound: float = 7.0
     noise_sd: float = float(np.sqrt(0.02))
-    custom: bool = False
 
     def __post_init__(self):
-        if self.custom:
-            return
         if self.k_true not in _2D_KTRUE:
-            raise ValueError(f"k_true {self.k_true} not in {_2D_KTRUE}; set custom=True")
+            raise ValueError(f"k_true {self.k_true} not in {_2D_KTRUE}")
         if not any(
             abs(self.contamination_fraction - f) < 1e-12 for f in _2D_FRACTIONS
         ):
             raise ValueError(
                 f"contamination fraction {self.contamination_fraction} not in "
-                f"{_2D_FRACTIONS}; set custom=True"
+                f"{_2D_FRACTIONS}"
             )
         if self.kappa not in _2D_KAPPAS:
-            raise ValueError(f"kappa {self.kappa} not in {_2D_KAPPAS}; set custom=True")
+            raise ValueError(f"kappa {self.kappa} not in {_2D_KAPPAS}")
 
     @property
     def k_cont(self) -> int:
@@ -147,7 +142,6 @@ class Sim2DPair:
     set_b: MarkedPointSet
     true_mask_a: np.ndarray
     true_mask_b: np.ndarray
-    true_transform: RigidTransform  # identity: pairs are generated aligned
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +176,6 @@ def generate_pair_2d(
     grid = grid_coords_2d()
     n_nodes = grid.shape[0]
     k_true, k_cont = config.k_true, config.k_cont
-    if k_true + k_cont > n_nodes:
-        raise GenerationError("more points requested than grid nodes")
     z = (
         sample_grf(config.gen_model, grid, rng)
         if field_values is None
@@ -192,16 +184,12 @@ def generate_pair_2d(
     idx_b = rng.choice(n_nodes, size=k_true, replace=False)
     marks_b_true = z[idx_b] + rng.normal(0.0, config.noise_sd, k_true)
     pool = _neighborhood_union(idx_b, config.kappa)
-    if pool.shape[0] < k_true:
-        raise GenerationError(
-            f"neighborhood union has {pool.shape[0]} nodes < k_true {k_true}"
-        )
     idx_a = rng.choice(pool, size=k_true, replace=False)
     marks_a_true = z[idx_a] + rng.normal(0.0, config.noise_sd, k_true)
 
     def contaminate(exclude):
         remaining = np.setdiff1d(np.arange(n_nodes), exclude)
-        idx = rng.choice(remaining, size=k_cont, replace=False) if k_cont else np.array([], dtype=int)
+        idx = rng.choice(remaining, size=k_cont, replace=False)
         marks = rng.uniform(-config.contamination_bound, config.contamination_bound, k_cont)
         return idx, marks
 
@@ -212,7 +200,7 @@ def generate_pair_2d(
     set_a = MarkedPointSet(coords_a, np.concatenate([marks_a_true, marks_a_cont]))
     set_b = MarkedPointSet(coords_b, np.concatenate([marks_b_true, marks_b_cont]))
     mask = np.concatenate([np.ones(k_true, dtype=bool), np.zeros(k_cont, dtype=bool)])
-    return Sim2DPair(set_a, set_b, mask.copy(), mask.copy(), RigidTransform.identity(2))
+    return Sim2DPair(set_a, set_b, mask.copy(), mask.copy())
 
 
 def _reference_block(reference_coords, n_atoms: int) -> np.ndarray:

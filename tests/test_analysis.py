@@ -13,6 +13,7 @@ from fieldalign.analysis import (
     t_statistic,
     threshold_regions,
     ward_cluster,
+    write_regions,
 )
 from fieldalign.covariance import GAUSSIAN, CovarianceModel
 from fieldalign.geometry import MarkedPointSet
@@ -299,3 +300,21 @@ class TestThresholdRegions:
     def test_threshold_positive_required(self):
         with pytest.raises(ValueError):
             threshold_regions(self.make_tfield(np.zeros((2, 2, 2))), 0.0)
+
+    def test_written_regions_carry_world_bounds(self, tmp_path):
+        v = np.zeros((4, 3, 3))
+        v[1, 1, 1] = v[2, 1, 1] = 9.0
+        v[0, 2, 0] = -9.0
+        grid = GridSpec(origin=(-1.5, 0.25, 2.0), spacing=0.5, shape=v.shape)
+        regions = threshold_regions(TFieldGrid(grid, v, offset=0.001, n_a=2, n_b=2), 8.0)
+        write_regions(tmp_path / "regions.tsv", regions, grid, header_lines=["run"])
+        lines = (tmp_path / "regions.tsv").read_text().splitlines()
+        assert lines[:2] == ["# run", "sign\tsize\tindex_min\tindex_max\tworld_min\tworld_max"]
+        rows = [line.split("\t") for line in lines[2:]]
+        assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
+            ("1", "2", "1,1,1", "2,1,1"), ("-1", "1", "0,2,0", "0,2,0"),
+        ]
+        for row in rows:
+            for index, world in zip(row[2:4], row[4:6]):
+                expected = [o + 0.5 * int(i) for o, i in zip(grid.origin, index.split(","))]
+                assert [float(w) for w in world.split(",")] == expected

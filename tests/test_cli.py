@@ -19,7 +19,7 @@ from fieldalign.cli import (
     main,
 )
 from fieldalign.covariance import SingularGramError
-from fieldalign.geometry import MarkedPointSet
+from fieldalign.geometry import MarkedPointSet, RigidTransform
 from fieldalign.molio import write_molecule_file
 from fieldalign.simulation import DEFAULT_REFERENCE_COORDS
 
@@ -456,7 +456,7 @@ def write_molecule(path, coords, charges):
 
 
 def write_gpa_json(path, molecules, masks):
-    identity = {"euler_degrees": [0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}
+    identity = mcmc._transform_dict(RigidTransform.identity(3))  # as gpa writes it
     path.write_text(json.dumps(
         {"molecules": molecules, "transforms": [identity] * len(molecules), "masks": masks}
     ))
@@ -569,12 +569,47 @@ class TestErrorExitCodes:
     @pytest.mark.parametrize("key, text", [
         ("transforms_from", "{"), ("group_a", "{}"), ("group_b", "[]"),
         ("transforms_from", '{"molecules": ["mol_a"]}'),
+        pytest.param("transforms_from", json.dumps({
+            "molecules": ["mol_a", "mol_b"], "transforms": [{"translation": [0, 0, 0]}] * 2,
+        }), id="transform-without-euler-radians"),
+        pytest.param("group_b", json.dumps({
+            "molecules": ["mol_a", "mol_b"], "masks": [[1] * 12, [1] * 11],
+        }), id="mask-shorter-than-molecule"),
+        pytest.param("group_a", json.dumps({"molecules": "mol_a", "masks": [[1] * 12]}),
+                     id="molecules-not-a-list"),
+        pytest.param("group_a", json.dumps({"molecules": [], "masks": []}), id="empty-group"),
     ])
     def test_tfield_malformed_gpa_result(self, tmp_path, capsys, key, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         args = self.tfield_two_member_args(tmp_path, f"{key}={bad}")
         assert str(bad) in self.check(capsys, args, 3, "io error:")
+
+    def test_tfield_zero_mask_stays_degenerate(self, tmp_path, capsys):
+        # a well-formed mask that selects nothing is degenerate input, not an IO error
+        group = tmp_path / "zero.json"
+        write_gpa_json(group, ["mol_a", "mol_b"], [[0] * 12, [1] * 12])
+        args = self.tfield_two_member_args(tmp_path, f"group_b={group}")
+        self.check(capsys, args, 4, "degenerate input:")
+
+    @pytest.mark.parametrize("settings", [
+        ("channel=banana",), ("kernel=banana",), ("channel=charge", "rho_steric=-1"),
+    ])
+    def test_bad_pair_channel_or_kernel(self, tmp_path, capsys, monkeypatch, settings):
+        # rejected before any chain; both channel models are built whatever the channel
+        calls = []
+        monkeypatch.setattr(mcmc, "_run_chain", lambda *a, **k: calls.append(1))
+        self.check(capsys, pair_args(tmp_path, *settings), 2, "configuration error:")
+        assert not calls
+
+    def test_gpa_takes_one_channel(self, tmp_path, capsys):
+        args = ["gpa", "--set", f"molecules={DATA}", "--set", "channel=both",
+                "--out-dir", tmp_path]
+        self.check(capsys, args, 2, "configuration error:")
+
+    def test_tfield_takes_one_channel(self, tmp_path, capsys):
+        args = self.tfield_two_member_args(tmp_path, "channel=both")
+        self.check(capsys, args, 2, "configuration error:")
 
     @pytest.mark.parametrize("setting", [
         "alpha=nan", "beta=inf", "zeta=nan", "zeta_interaction=nan", "rotation_sd_deg=nan",

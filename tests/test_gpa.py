@@ -11,6 +11,7 @@ from fieldalign.geometry import (
 from fieldalign.kriging import EmptyFieldError, build_field
 from fieldalign.mcmc import Hyperparameters, InitSpec
 from fieldalign.similarity import partial_carbo
+from fieldalign import gpa
 from fieldalign.gpa import (
     GpaConfig,
     group_mean_field,
@@ -41,6 +42,13 @@ def random_instance(rng, n=4, k=7, m=2):
             mask[0] = True
         masks.append(mask)
     return sets, transforms, masks
+
+
+def placed_fields(sets, transforms, masks):
+    return [
+        build_field(ps, mask=mask, model=MODEL).transformed(t)
+        for ps, t, mask in zip(sets, transforms, masks)
+    ]
 
 
 class TestMultiCarbo:
@@ -123,7 +131,7 @@ class TestLeaveOneOut:
         masks[0][2] = True
         c = leave_one_out_similarity(0, sets, transforms, masks, MODEL)
         # brute force: normalized single-point field dotted with the mean field
-        mf = mean_field_excluding(0, sets, transforms, masks, MODEL)
+        mf = mean_field_excluding(0, placed_fields(sets, transforms, masks))
         x = transforms[0].apply(sets[0].coords[2])
         sign = np.sign(sets[0].marks[2])
         assert abs(c - sign * mf.evaluate(x)) < 1e-10
@@ -131,7 +139,7 @@ class TestLeaveOneOut:
     def test_mean_field_evaluation_matches_stacked_form(self):
         rng = np.random.default_rng(8)
         sets, transforms, masks = random_instance(rng, n=4)
-        mf = mean_field_excluding(1, sets, transforms, masks, MODEL)
+        mf = mean_field_excluding(1, placed_fields(sets, transforms, masks))
         pts = rng.uniform(0, 1, (6, 2))
         direct = np.zeros(6)
         for j in (0, 2, 3):
@@ -258,6 +266,22 @@ class TestRunFieldGpa:
             total += len(h) - 1
             improved += sum(1 for a, b in zip(h, h[1:]) if b >= a - 1e-6)
         assert improved / total >= 0.65
+
+    def test_each_chain_rekrigs_only_its_own_field(self, monkeypatch):
+        # n fields after step 1, then one rebuild per chain: n + n * passes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_field(*args, **kwargs)
+
+        monkeypatch.setattr(gpa, "build_field", counting)
+        rng = np.random.default_rng(16)
+        sets, _transforms, _masks = random_instance(rng, n=4, k=6)
+        config = quick_gpa_config(tol=0.0, max_passes=3, iterations=60)
+        state, _ = run_field_gpa(sets, MODEL, config, 2)
+        assert state.iteration == 3
+        assert len(calls) == 4 + 4 * 3
 
     def test_smallest_set_is_reference(self):
         rng = np.random.default_rng(15)

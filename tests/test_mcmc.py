@@ -26,7 +26,7 @@ from fieldalign.mcmc import (
     run_pairwise_alignment,
     run_reference_alignment,
 )
-from fieldalign.similarity import partial_carbo
+from fieldalign.similarity import CarboScore, partial_carbo
 
 MODEL = CovarianceModel(MATERN, rho=0.5, nu=0.5)
 
@@ -432,7 +432,10 @@ class TestRunPairwiseAlignment:
             InitSpec(rotation_range=0.2, translation_range=0.05), 6,
         )
         assert np.isfinite(res.plug_in_distance)
-        assert len(res.map_state.channel_scores) == 2
+        # two channels carry only the combined score, not one inner product
+        carbo = res.map_state.carbo
+        assert isinstance(carbo, CarboScore)
+        assert np.isnan(carbo.inner) and np.isfinite(carbo.dissimilarity)
 
     def test_reference_field_alignment(self):
         rng = np.random.default_rng(47)

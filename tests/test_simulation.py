@@ -95,7 +95,6 @@ class TestGeneratePair2D:
         pair = generate_pair_2d(config, rng)
         assert pair.set_a.k == 84 and pair.set_b.k == 84
         assert pair.true_mask_a[:80].all() and not pair.true_mask_a[80:].any()
-        assert np.all(pair.true_transform.euler == 0.0)
 
     def test_contamination_mark_range(self):
         config = Sim2DConfig(k_true=40, contamination_fraction=0.15, kappa=4)
@@ -136,23 +135,6 @@ class TestGeneratePair2D:
         corner = np.array([0])
         assert _neighborhood_union(corner, kappa=1).shape[0] == 4
 
-    def test_zero_contamination_all_true_masks(self):
-        config = Sim2DConfig(
-            k_true=40, contamination_fraction=0.0, kappa=1, custom=True
-        )
-        rng = np.random.default_rng(8)
-        pair = generate_pair_2d(config, rng)
-        assert pair.set_a.k == 40
-        assert pair.true_mask_a.all()
-
-    def test_generation_error_when_grid_exhausted(self):
-        rng = np.random.default_rng(9)
-        toobig = Sim2DConfig(
-            k_true=950, contamination_fraction=0.05, kappa=1, custom=True
-        )
-        with pytest.raises(GenerationError):
-            generate_pair_2d(toobig, rng)
-
     def test_true_masks_score_better_than_full(self):
         # at the true relative position, masking contamination improves the
         # Carbo similarity for most draws
@@ -179,7 +161,6 @@ class TestGeneratePair2D:
             Sim2DConfig(k_true=55)
         with pytest.raises(ValueError):
             Sim2DConfig(contamination_fraction=0.2)
-        Sim2DConfig(k_true=55, contamination_fraction=0.2, custom=True)
 
     def test_seeded_determinism(self):
         config = Sim2DConfig()
